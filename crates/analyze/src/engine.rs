@@ -351,14 +351,14 @@ mod tests {
 // pti-allow(wall-clock): prose explains why this is fine
 let deadline = Instant::now();
 ";
-        let f = analyze_source("crates/net/src/sim.rs", src);
+        let f = analyze_source("crates/net/src/reactor.rs", src);
         assert!(f.iter().all(|f| f.rule != "wall-clock"), "{f:?}");
     }
 
     #[test]
     fn malformed_allow_is_a_deny_finding() {
         let src = "let x = 1; // pti-allow(wall-clock)\n";
-        let f = analyze_source("crates/net/src/sim.rs", src);
+        let f = analyze_source("crates/net/src/reactor.rs", src);
         assert!(f
             .iter()
             .any(|f| f.rule == "allow-syntax" && f.severity == Severity::Deny));
@@ -367,14 +367,14 @@ let deadline = Instant::now();
     #[test]
     fn unknown_rule_in_allow_is_rejected() {
         let src = "let x = 1; // pti-allow(wallclock): typo\n";
-        let f = analyze_source("crates/net/src/sim.rs", src);
+        let f = analyze_source("crates/net/src/reactor.rs", src);
         assert!(f.iter().any(|f| f.rule == "allow-syntax"));
     }
 
     #[test]
     fn unused_allow_is_advisory() {
         let src = "let x = 1; // pti-allow(wall-clock): nothing here trips it\n";
-        let f = analyze_source("crates/net/src/sim.rs", src);
+        let f = analyze_source("crates/net/src/reactor.rs", src);
         assert!(f
             .iter()
             .any(|f| f.rule == "unused-allow" && f.severity == Severity::Advisory));

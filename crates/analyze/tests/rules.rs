@@ -32,7 +32,7 @@ fn deadline() -> Instant {
     Instant::now() + Duration::from_millis(5)
 }
 "#;
-    let f = analyze_source("crates/net/src/sim.rs", src);
+    let f = analyze_source("crates/net/src/reactor.rs", src);
     let hits = deny_hits(&f, "wall-clock");
     assert_eq!(hits.len(), 1, "{f:?}");
     assert_eq!(hits[0].line, 3);
@@ -55,11 +55,11 @@ fn deadline() -> Instant {
     Instant::now() + Duration::from_millis(5)
 }
 "#;
-    let f = analyze_source("crates/net/src/sim.rs", src2);
+    let f = analyze_source("crates/net/src/reactor.rs", src2);
     assert!(deny_hits(&f, "wall-clock").is_empty(), "{f:?}");
     assert!(advisory_hits(&f, "unused-allow").is_empty(), "{f:?}");
     // The mis-bound variant still fires (allow bound to `fn deadline`).
-    let f = analyze_source("crates/net/src/sim.rs", src);
+    let f = analyze_source("crates/net/src/reactor.rs", src);
     assert_eq!(deny_hits(&f, "wall-clock").len(), 1);
 }
 
@@ -70,7 +70,7 @@ fn wall_clock_exempts_bus_and_tests() {
     assert!(deny_hits(&analyze_source("tests/live_bus.rs", src), "wall-clock").is_empty());
     let in_test = "#[cfg(test)]\nmod tests {\n    fn x() { let t = Instant::now(); }\n}\n";
     assert!(deny_hits(
-        &analyze_source("crates/net/src/sim.rs", in_test),
+        &analyze_source("crates/net/src/reactor.rs", in_test),
         "wall-clock"
     )
     .is_empty());
@@ -201,7 +201,7 @@ fn thread_confinement_exempts_the_threaded_files_only() {
     let in_test = "#[cfg(test)]\nmod tests {\n    fn go() { std::thread::spawn(|| ()); }\n}\n";
     assert_eq!(
         deny_hits(
-            &analyze_source("crates/net/src/sim.rs", in_test),
+            &analyze_source("crates/net/src/reactor.rs", in_test),
             "thread-confinement"
         )
         .len(),
@@ -214,7 +214,7 @@ fn thread_confinement_exempts_the_threaded_files_only() {
 #[test]
 fn panic_policy_is_deny_on_fabric_crates_advisory_elsewhere() {
     let src = "fn take(o: Option<u32>) -> u32 { o.unwrap() }\n";
-    let f = analyze_source("crates/net/src/sim.rs", src);
+    let f = analyze_source("crates/net/src/reactor.rs", src);
     assert_eq!(deny_hits(&f, "panic-policy").len(), 1, "{f:?}");
     let f = analyze_source("crates/tps/src/lib.rs", src);
     assert!(deny_hits(&f, "panic-policy").is_empty());
@@ -232,7 +232,7 @@ fn take(o: Option<u32>) -> u32 {
     o.unwrap()
 }
 "#;
-    let f = analyze_source("crates/net/src/sim.rs", src);
+    let f = analyze_source("crates/net/src/reactor.rs", src);
     assert!(deny_hits(&f, "panic-policy").is_empty(), "{f:?}");
 }
 
@@ -346,7 +346,7 @@ impl Wire {
     }
 }
 "#;
-    let f = analyze_source("crates/net/src/sim.rs", src);
+    let f = analyze_source("crates/net/src/reactor.rs", src);
     assert!(
         f.iter().all(|f| f.rule != "unbounded-queue"),
         "allowed + local scratch Vec: {f:?}"
@@ -365,7 +365,7 @@ fn unbounded_queue_scoped_to_queue_paths_and_exempts_tests() {
     );
     let in_test = "#[cfg(test)]\nmod tests {\n    fn f(q: &mut Q) { q.inner.push_back(1); }\n}\n";
     assert!(
-        analyze_source("crates/net/src/sim.rs", in_test)
+        analyze_source("crates/net/src/reactor.rs", in_test)
             .iter()
             .all(|f| f.rule != "unbounded-queue"),
         "tests exempt"
@@ -382,7 +382,7 @@ fn doc() -> &'static str {
     r"Instant::now() and thread::spawn in a string are data"
 }
 "##;
-    let f = analyze_source("crates/net/src/sim.rs", src);
+    let f = analyze_source("crates/net/src/reactor.rs", src);
     assert!(
         f.iter()
             .all(|f| f.rule != "wall-clock" && f.rule != "thread-confinement"),

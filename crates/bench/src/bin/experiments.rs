@@ -1,7 +1,7 @@
 //! The experiments harness: regenerates every table/figure of the
 //! paper's evaluation (Section 7) plus the protocol and ablation
-//! experiments indexed in DESIGN.md, printing paper-style rows and a
-//! machine-readable JSON dump (`experiments.json` in the working
+//! experiments indexed in ARCHITECTURE.md, printing paper-style rows and
+//! a machine-readable JSON dump (`experiments.json` in the working
 //! directory).
 //!
 //! Run with: `cargo run --release -p pti-bench --bin experiments`
@@ -1295,7 +1295,7 @@ fn r5_shards(report: &mut Report) -> String {
 }
 
 /// R6 — durable delivery under seeded faults: an `AtLeastOnce`
-/// publisher/subscriber pair on the virtual-time `SimNet`, swept over
+/// publisher/subscriber pair on the virtual-time `ReactorNet`, swept over
 /// fabric loss rates (0%, 2%, 5%). The desc/asm exchange is warmed up
 /// losslessly — only the reliable OBJECT path is repaired by
 /// retransmission — then each loss level publishes `EVENTS` events,
@@ -1686,7 +1686,7 @@ fn main() {
         "(paper numbers are 2002 hardware + .NET; ours are this machine + the Rust substrate;"
     );
     println!(
-        " per DESIGN.md only the *shapes* — orderings, ratios, savings — are expected to hold)"
+        " per ARCHITECTURE.md only the *shapes* — orderings, ratios, savings — are expected to hold)"
     );
 
     let mut report = Report { rows: Vec::new() };

@@ -1,9 +1,8 @@
 //! # pti-bench — benchmark fixtures
 //!
-//! Shared setup for the criterion benches and the `experiments` harness
-//! binary that regenerates every measurement of the paper's Section 7
-//! plus the protocol (F1) and ablation (A1–A3) experiments described in
-//! DESIGN.md.
+//! Shared setup for the `experiments` harness binary that regenerates
+//! every measurement of the paper's Section 7 plus the protocol (F1) and
+//! ablation (A1–A4) experiments described in ARCHITECTURE.md.
 
 #![warn(missing_docs)]
 
@@ -226,7 +225,7 @@ pub fn run_protocol(
         }
         swarm.run().unwrap();
     }
-    let m = swarm.net().metrics();
+    let m = swarm.metrics();
     let stats = swarm.peer(subscriber).stats;
     ProtocolOutcome {
         bytes: m.bytes,

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use pti_conformance::ConformanceConfig;
 use pti_metamodel::{Assembly, ObjHandle, TypeDescription, Value};
-use pti_net::{NetConfig, PeerId, SimNet, Transport};
+use pti_net::{NetConfig, PeerId, ReactorNet, Transport};
 use pti_remoting::{RemoteProxy, RemotingFabric};
 use pti_transport::{Peer, Result, Swarm, TransportError};
 
@@ -46,16 +46,16 @@ pub struct Borrowed {
 
 /// A borrow/lend market over a swarm of peers (any transport).
 #[derive(Debug)]
-pub struct Market<T: Transport = SimNet> {
+pub struct Market<T: Transport = ReactorNet> {
     swarm: Swarm<T>,
     fabric: RemotingFabric,
     lendings: HashMap<u64, Lending>,
     next_id: u64,
 }
 
-impl Market<SimNet> {
-    /// Creates an empty market over a simulated network with the given
-    /// parameters.
+impl Market<ReactorNet> {
+    /// Creates an empty market over a fresh reactor fabric that prices
+    /// messages with the given link parameters.
     pub fn new(config: NetConfig) -> Market {
         Market::over(Swarm::new(config))
     }

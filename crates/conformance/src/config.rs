@@ -3,7 +3,7 @@
 use crate::matcher::NameMatcher;
 
 /// Variance applied to method/constructor argument types (design decision
-/// D2 in DESIGN.md).
+/// D2 in ARCHITECTURE.md).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Variance {
     /// The rule exactly as printed in the paper: the received method's

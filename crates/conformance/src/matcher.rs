@@ -1,4 +1,4 @@
-//! Name matching strategies (design decision D1 in DESIGN.md).
+//! Name matching strategies (design decision D1 in ARCHITECTURE.md).
 //!
 //! The paper's formal rule requires case-insensitive equality (Levenshtein
 //! distance 0) but explicitly notes "in order to be more general,

@@ -15,7 +15,7 @@
 //! | implicit structural conformance | [`conformance`] | §4, Figure 2 |
 //! | type-description + object serializers | [`serialize`] | §5–6, Figure 3 |
 //! | dynamic proxies | [`proxy`] | §6, §7.1 |
-//! | transport fabrics (SimNet, LiveBus, ReactorNet) | [`net`] | testbed substitute |
+//! | transport fabrics (ReactorNet, LiveBus) | [`net`] | testbed substitute |
 //! | optimistic transport protocol | [`transport`] | §3, Figure 1 |
 //! | pass-by-reference remoting | [`remoting`] | §6.2 |
 //! | type-based publish/subscribe | [`tps`] | §8 |
@@ -24,8 +24,8 @@
 //! The protocol engine ([`Swarm`](transport::Swarm)) is generic over the
 //! [`Transport`](net::Transport) trait: the *same* optimistic-exchange
 //! state machine runs deterministically on the virtual-time
-//! [`SimNet`](net::SimNet) (experiments) and concurrently on the
-//! threaded [`LiveBus`](net::LiveBus) (load). Applications sit on the
+//! [`ReactorNet`](net::ReactorNet) (experiments, hosts and benchmarks)
+//! and concurrently on the threaded [`LiveBus`](net::LiveBus) (load). Applications sit on the
 //! typed session layer of [`tps`]: members, publishers and
 //! subscriptions, never raw envelopes.
 //!
@@ -95,7 +95,7 @@ pub mod prelude {
     pub use pti_net::{
         BridgeLink, BridgeRx, BridgeStats, BridgeTx, BusMessage, Endpoint, FaultDecision,
         FaultPlan, LiveBus, NetConfig, NetMetrics, Partition, Payload, PeerId, ReactorNet,
-        ReactorStats, SessionId, SharedSimNet, SimNet, Transport,
+        ReactorStats, SessionId, Transport,
     };
     pub use pti_proxy::{invoke_direct, DynamicProxy, ProxyError};
     pub use pti_remoting::{RemoteProxy, RemoteRef, RemotingFabric};
@@ -110,6 +110,6 @@ pub mod prelude {
     pub use pti_transport::{
         CodeRegistry, Delivery, DeliveryConfig, DeliveryStats, LiveSwarm, MembershipView,
         MountedSwarm, Peer, ProtocolStats, QoS, ReactorHost, ReactorSwarm, RoutingTable,
-        ShardedHost, Signature, SimSwarm, Swarm, TransportError, ViewDelta,
+        ShardedHost, Signature, Swarm, TransportError, ViewDelta,
     };
 }

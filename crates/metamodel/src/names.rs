@@ -98,8 +98,9 @@ impl AsRef<str> for TypeName {
 /// tokens.
 ///
 /// Used by the token-based `NameMatcher` extension in `pti-conformance`
-/// (DESIGN.md D1): the paper motivates matching `setName` against
-/// `setPersonName`, which exact matching cannot do; token containment can.
+/// (design decision D1 in ARCHITECTURE.md): the paper motivates matching
+/// `setName` against `setPersonName`, which exact matching cannot do;
+/// token containment can.
 ///
 /// ```
 /// use pti_metamodel::split_ident_tokens;

@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::Thread;
 
 use crate::bus::BusMessage;
-use crate::sim::NetError;
+use crate::transport::NetError;
 
 /// Counters shared by both endpoints of one bridge.
 #[derive(Debug, Default)]
@@ -191,7 +191,7 @@ impl BridgeRx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::PeerId;
+    use crate::transport::PeerId;
 
     fn msg(n: u8) -> BusMessage {
         BusMessage {

@@ -18,7 +18,7 @@
 
 use std::collections::BTreeSet;
 
-use crate::sim::PeerId;
+use crate::transport::PeerId;
 
 /// A burst partition: while active, traffic between the `island` and the
 /// rest of the fabric is blocked in both directions (traffic wholly

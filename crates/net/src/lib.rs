@@ -1,20 +1,21 @@
 //! # pti-net — simulated peers and network
 //!
 //! The paper evaluates its protocol on a physical 2002 testbed; this
-//! crate replaces that hardware with two interchangeable fabrics:
+//! crate replaces that hardware with two fabrics:
 //!
-//! * [`SimNet`] — a deterministic **virtual-time** network with explicit
-//!   latency/bandwidth and per-kind byte accounting. All protocol
-//!   experiments (optimistic vs eager, Figure 1) run on it so results are
-//!   reproducible and expressed in bytes + virtual microseconds.
-//! * [`LiveBus`] — a std-channel bus for **actually concurrent** peers,
-//!   used by stress tests and examples that want real threads.
-//! * [`ReactorNet`] — a single-threaded, readiness-driven fabric
-//!   (inbound rings, a wakeup queue and a timer wheel) that lets one
-//!   thread drive thousands of swarms; see the [`reactor`] module docs.
-//!   Multiple reactors on separate threads link up through
-//!   [`BridgeLink`] channel pairs (see the [`bridge`] module docs) —
-//!   the only cross-thread surface in the crate.
+//! * [`ReactorNet`] — the single-threaded, deterministic
+//!   **virtual-time** fabric: inbound rings, a readiness wakeup queue
+//!   and a timer wheel that let one thread drive thousands of swarms
+//!   (see the [`reactor`] module docs). Built with
+//!   [`ReactorNet::with_link`] it also prices every message with
+//!   explicit latency and bandwidth, which is what the protocol
+//!   experiments (optimistic vs eager, Figure 1) run on, so their
+//!   results are reproducible and expressed in bytes + virtual
+//!   microseconds. Reactors on separate threads link up through
+//!   [`BridgeLink`] channel pairs (see the [`bridge`] module docs).
+//! * [`LiveBus`] — a std-channel bus for **actually concurrent** peers
+//!   on the wall clock, used by stress tests and examples that want
+//!   real threads.
 //!
 //! Both implement the [`Transport`] trait — the seam the protocol
 //! engine (`pti-transport`'s `Swarm<T: Transport>`) is generic over, so
@@ -35,13 +36,13 @@
 //! ## Example
 //!
 //! ```
-//! use pti_net::{NetConfig, PeerId, SimNet};
+//! use pti_net::{NetConfig, PeerId, ReactorNet, Transport};
 //!
-//! let mut net = SimNet::new(NetConfig::default());
+//! let mut net = ReactorNet::with_link(NetConfig::default());
 //! net.register(PeerId(1));
 //! net.register(PeerId(2));
-//! net.send(PeerId(1), PeerId(2), "object", vec![0u8; 1024]).unwrap();
-//! let msg = net.recv(PeerId(2)).unwrap();
+//! net.send(PeerId(1), PeerId(2), "object", vec![0u8; 1024].into()).unwrap();
+//! let msg = net.try_recv(PeerId(2)).unwrap();
 //! assert_eq!(msg.kind, "object");
 //! assert!(net.now_us() > 0, "virtual time advanced");
 //! assert_eq!(net.metrics().bytes, 1024);
@@ -56,7 +57,6 @@ mod frame;
 mod metrics;
 mod payload;
 pub mod reactor;
-mod sim;
 mod transport;
 
 pub use bridge::{BridgeLink, BridgeRx, BridgeStats, BridgeTx};
@@ -65,6 +65,5 @@ pub use fault::{FaultDecision, FaultPlan, Partition};
 pub use frame::{kinds, Frame, FrameBatch, FrameDecodeError};
 pub use metrics::{KindMetrics, LinkBatchMetrics, NetMetrics};
 pub use payload::Payload;
-pub use reactor::{ReactorNet, ReactorStats, SessionId};
-pub use sim::{Message, NetConfig, NetError, PeerId, SharedSimNet, SimNet};
-pub use transport::Transport;
+pub use reactor::{NetConfig, ReactorNet, ReactorStats, SessionId};
+pub use transport::{NetError, PeerId, Transport};

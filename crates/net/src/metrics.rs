@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::sim::PeerId;
+use crate::transport::PeerId;
 
 /// Per-kind and total message/byte counters, plus per-link batching
 /// counters.

@@ -1,5 +1,6 @@
 //! The reactor fabric: a hand-rolled, readiness-driven event core that
-//! lets one thread drive thousands of swarms.
+//! lets one thread drive thousands of swarms — and the workspace's one
+//! virtual-time fabric.
 //!
 //! [`LiveBus`](crate::LiveBus) scales by threads — every driver parks in
 //! `recv_deadline` sleeps, so a box tops out at hundreds of members. The
@@ -14,11 +15,21 @@
 //! Deadlines are served by a hashed **timer wheel** in virtual time:
 //! when no session is ready, the loop jumps the clock straight to the
 //! next timer deadline and fires it (idle *parking*, never a busy-wait
-//! or an OS sleep). Like [`SharedSimNet`](crate::SharedSimNet), the
-//! fabric is single-threaded by design (`Rc`, hence `!Send`) and fully
-//! deterministic: the same script of sends produces the same wakeup
-//! order, which is what lets `tests/transport_parity.rs` pin identical
-//! protocol decisions across all three fabrics.
+//! or an OS sleep). The fabric is single-threaded by design (`Rc`, hence
+//! `!Send`) and fully deterministic: the same script of sends produces
+//! the same wakeup order, which is what lets `tests/transport_parity.rs`
+//! pin identical protocol decisions across the reactor and the live bus.
+//!
+//! ## The link model
+//!
+//! [`ReactorNet::new`] delivers in FIFO order per ring and never prices a
+//! message. [`ReactorNet::with_link`] adds the model the protocol
+//! experiments are expressed in — bytes and virtual microseconds instead
+//! of host noise: each message experiences `latency` plus `size /
+//! bandwidth` transmission delay, a `(from, to)` link transmits one
+//! message at a time (bursts queue behind each other), a receive takes
+//! the earliest-deliverable message in the ring (ties keep queue order),
+//! and the clock advances to that message's delivery time.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -30,8 +41,65 @@ use crate::fault::{FaultDecision, FaultPlan};
 use crate::frame::{kinds, FrameBatch};
 use crate::metrics::NetMetrics;
 use crate::payload::Payload;
-use crate::sim::{NetError, PeerId};
-use crate::transport::Transport;
+use crate::transport::{NetError, PeerId, Transport};
+
+/// Link parameters for [`ReactorNet::with_link`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NetConfig {
+    /// One-way propagation delay per message, in microseconds.
+    pub latency_us: u64,
+    /// Link throughput in bytes per second.
+    pub bandwidth_bps: u64,
+}
+
+impl Default for NetConfig {
+    /// A 2002-flavoured LAN: 500 µs latency, 100 Mbit/s ≈ 12.5 MB/s.
+    fn default() -> Self {
+        NetConfig {
+            latency_us: 500,
+            bandwidth_bps: 12_500_000,
+        }
+    }
+}
+
+impl NetConfig {
+    /// A slow wide-area profile (20 ms, 1 MB/s) where the optimistic
+    /// protocol's byte savings dominate.
+    pub fn wan() -> NetConfig {
+        NetConfig {
+            latency_us: 20_000,
+            bandwidth_bps: 1_000_000,
+        }
+    }
+
+    /// Transmission time of `bytes` on this link, in microseconds.
+    pub fn tx_us(&self, bytes: usize) -> u64 {
+        (bytes as u64)
+            .saturating_mul(1_000_000)
+            .div_ceil(self.bandwidth_bps.max(1))
+    }
+}
+
+/// The link model's state: parameters plus, per `(from, to)` pair, the
+/// virtual time its last transmission finishes.
+#[derive(Debug)]
+struct Link {
+    config: NetConfig,
+    free_at: HashMap<(PeerId, PeerId), u64>,
+}
+
+impl Link {
+    /// Prices a `size`-byte send at `now_us` and returns its delivery
+    /// time: the link serialises transmissions, so it starts after any
+    /// in-flight message on the same pair finishes.
+    fn schedule(&mut self, now_us: u64, from: PeerId, to: PeerId, size: usize) -> u64 {
+        let tx = self.config.tx_us(size);
+        let free = self.free_at.entry((from, to)).or_insert(0);
+        let start = now_us.max(*free);
+        *free = start + tx;
+        start + self.config.latency_us + tx
+    }
+}
 
 /// One session on a reactor: the unit of readiness and scheduling. Each
 /// swarm mounted on the fabric gets its own session; all endpoints the
@@ -139,8 +207,9 @@ impl TimerWheel {
 
 #[derive(Debug)]
 struct Core {
-    /// Per-endpoint inbound rings.
-    rings: HashMap<PeerId, VecDeque<BusMessage>>,
+    /// Per-endpoint inbound rings; each message carries the virtual time
+    /// it becomes deliverable (always 0 without a link model).
+    rings: HashMap<PeerId, VecDeque<(u64, BusMessage)>>,
     /// Which session each endpoint belongs to.
     owner: HashMap<PeerId, SessionId>,
     /// Peers owned by *another shard*: sends to them forward over the
@@ -164,9 +233,27 @@ struct Core {
     metrics: NetMetrics,
     stats: ReactorStats,
     fault: Option<FaultPlan>,
+    link: Option<Link>,
 }
 
 impl Core {
+    /// Traffic accounting for one accepted send of `size` bytes;
+    /// `batch_frames` is set for frame batches.
+    fn record_send(
+        &mut self,
+        from: PeerId,
+        to: PeerId,
+        kind: &'static str,
+        size: usize,
+        batch_frames: Option<usize>,
+    ) {
+        self.metrics.record(kind, size);
+        if let Some(frames) = batch_frames {
+            self.metrics.record_batch(from, to, frames, size);
+        }
+        self.stats.sends += 1;
+    }
+
     fn mark_ready(&mut self, session: SessionId) {
         if self.enqueued.insert(session) {
             // pti-allow(unbounded-queue): deduplicated by `enqueued`, so at most one entry per session
@@ -187,8 +274,8 @@ impl Core {
 /// Cloning shares both the fabric *and* the session (the shape a
 /// `Swarm` needs: its transport is moved in by value, yet the host keeps
 /// a handle to the same session). Fresh sessions come from
-/// [`session`](Self::session). Like [`SharedSimNet`](crate::SharedSimNet)
-/// the handle is `!Send`: one reactor, one thread — that is the point.
+/// [`session`](Self::session). The handle is `!Send`: one reactor, one
+/// thread — that is the point.
 #[derive(Debug)]
 pub struct ReactorNet {
     core: Rc<RefCell<Core>>,
@@ -241,11 +328,26 @@ impl ReactorNet {
                 metrics: NetMetrics::default(),
                 stats: ReactorStats::default(),
                 fault: None,
+                link: None,
             })),
             session: SessionId(0),
             #[cfg(debug_assertions)]
             owner_thread: std::thread::current().id(),
         }
+    }
+
+    /// Creates a fresh reactor fabric that prices every message with
+    /// `config`'s latency and bandwidth (see the module docs' link
+    /// model). Clones share the session, so several swarms on clones of
+    /// one handle share the clock, rings and metrics, and re-registering
+    /// a peer id through any of them is a no-op.
+    pub fn with_link(config: NetConfig) -> ReactorNet {
+        let net = ReactorNet::new();
+        net.core.borrow_mut().link = Some(Link {
+            config,
+            free_at: HashMap::new(),
+        });
+        net
     }
 
     /// Debug-only ownership guard: every handle operation must happen on
@@ -292,7 +394,8 @@ impl ReactorNet {
         self.session
     }
 
-    /// The reactor's virtual clock, advanced only by idle parking.
+    /// The reactor's virtual clock, advanced by idle parking and, under a
+    /// link model, by every receive.
     pub fn now_us(&self) -> u64 {
         self.core.borrow().now_us
     }
@@ -434,12 +537,13 @@ impl ReactorNet {
         let Some(owner) = core.owner.get(&msg.to).copied() else {
             return false;
         };
+        let now = core.now_us;
         // pti-allow(unbounded-queue): inbound rings model the network; the delivery layer bounds senders via credit
         core.rings
             .get_mut(&msg.to)
             // pti-allow(panic-policy): owner and rings are mutated together, so an owned peer always has a ring
             .expect("registered peer has a ring")
-            .push_back(msg);
+            .push_back((now, msg));
         *core.backlog.entry(owner).or_insert(0) += 1;
         core.mark_ready(owner);
         true
@@ -516,26 +620,27 @@ impl Transport for ReactorNet {
     ) -> Result<(), NetError> {
         self.assert_owner_thread();
         let mut core = self.core.borrow_mut();
+        let core = &mut *core;
         let local_owner = core.owner.get(&to).copied();
         if local_owner.is_none() && !core.proxies.contains_key(&to) {
             return Err(NetError::UnknownPeer(to));
         }
-        // The fault plan adjudicates before delivery: a dropped message
-        // is still accounted as sent (the bytes hit the wire), it just
-        // never reaches a ring or the bridge.
+        let size = payload.len();
+        let batch_frames =
+            (kind == kinds::BATCH).then(|| FrameBatch::peek_count(&payload).unwrap_or(0));
+        // The link is priced before adjudication: a dropped message
+        // still spent the sender's bandwidth, it just never arrives.
+        let deliver_at = match core.link.as_mut() {
+            Some(link) => link.schedule(core.now_us, from, to, size),
+            None => 0,
+        };
         let decision = match core.fault.as_mut() {
             Some(plan) => plan.decide(from, to),
             None => FaultDecision::Deliver,
         };
         core.metrics.record_fault(decision);
         if matches!(decision, FaultDecision::Drop | FaultDecision::Partitioned) {
-            let size = payload.len();
-            core.metrics.record(kind, size);
-            if kind == kinds::BATCH {
-                let frames = FrameBatch::peek_count(&payload).unwrap_or(0);
-                core.metrics.record_batch(from, to, frames, size);
-            }
-            core.stats.sends += 1;
+            core.record_send(from, to, kind, size, batch_frames);
             return Ok(());
         }
         let copies = if decision == FaultDecision::Duplicate {
@@ -549,9 +654,6 @@ impl Transport for ReactorNet {
             // and the owning shard injects it without re-counting.
             // pti-allow(panic-policy): proxy membership was checked before adjudicating the fault
             let bridge = core.proxies.get(&to).cloned().expect("checked proxy");
-            let size = payload.len();
-            let batch_frames =
-                (kind == kinds::BATCH).then(|| FrameBatch::peek_count(&payload).unwrap_or(0));
             let msg = BusMessage {
                 from,
                 to,
@@ -565,20 +667,11 @@ impl Transport for ReactorNet {
             woke |= bridge.send(msg)?;
             // Recorded only after the bridge accepted it — a failed send
             // stays uncounted, same as the local path.
-            core.metrics.record(kind, size);
-            if let Some(frames) = batch_frames {
-                core.metrics.record_batch(from, to, frames, size);
-            }
-            core.stats.sends += 1;
+            core.record_send(from, to, kind, size, batch_frames);
             core.metrics.record_bridge_crossing(size, woke);
             return Ok(());
         };
-        let size = payload.len();
-        core.metrics.record(kind, size);
-        if kind == kinds::BATCH {
-            let frames = FrameBatch::peek_count(&payload).unwrap_or(0);
-            core.metrics.record_batch(from, to, frames, size);
-        }
+        core.record_send(from, to, kind, size, batch_frames);
         let msg = BusMessage {
             from,
             to,
@@ -592,12 +685,11 @@ impl Transport for ReactorNet {
             .expect("registered peer has a ring");
         for _ in 1..copies {
             // pti-allow(unbounded-queue): inbound rings model the network; the delivery layer bounds senders via credit
-            ring.push_back(msg.clone());
+            ring.push_back((deliver_at, msg.clone()));
         }
         // pti-allow(unbounded-queue): inbound rings model the network; the delivery layer bounds senders via credit
-        ring.push_back(msg);
+        ring.push_back((deliver_at, msg));
         *core.backlog.entry(owner).or_insert(0) += copies;
-        core.stats.sends += 1;
         core.mark_ready(owner);
         Ok(())
     }
@@ -605,7 +697,17 @@ impl Transport for ReactorNet {
     fn try_recv(&mut self, peer: PeerId) -> Option<BusMessage> {
         self.assert_owner_thread();
         let mut core = self.core.borrow_mut();
-        let msg = core.rings.get_mut(&peer)?.pop_front()?;
+        let core = &mut *core;
+        let ring = core.rings.get_mut(&peer)?;
+        let (deliver_at, msg) = if core.link.is_some() {
+            // Earliest delivery first; `min_by_key` keeps the first of
+            // equal keys, so ties leave queue order intact.
+            let (idx, _) = ring.iter().enumerate().min_by_key(|(_, (at, _))| *at)?;
+            ring.remove(idx)?
+        } else {
+            ring.pop_front()?
+        };
+        core.now_us = core.now_us.max(deliver_at);
         if let Some(owner) = core.owner.get(&peer).copied() {
             if let Some(n) = core.backlog.get_mut(&owner) {
                 *n = n.saturating_sub(1);
@@ -647,6 +749,13 @@ impl Transport for ReactorNet {
 
     fn install_fault_plan(&mut self, plan: FaultPlan) {
         self.core.borrow_mut().fault = Some(plan);
+    }
+
+    /// Parks through every timer up to `deadline_us` — each one fires
+    /// and wakes its session — and leaves the clock at the deadline.
+    fn advance_virtual_time(&mut self, deadline_us: u64) -> bool {
+        while self.advance_idle_until(deadline_us) {}
+        true
     }
 }
 
@@ -947,5 +1056,193 @@ mod tests {
         assert_eq!(m.batches(), 1);
         assert_eq!(m.batched_frames(), 2);
         assert_eq!(m.link(PeerId(1), PeerId(2)).frames, 2);
+    }
+
+    /// A two-peer fabric under a 1 ms, 1 MB/s link: 1000 bytes cost
+    /// 1000 µs of transmission plus 1000 µs of latency.
+    fn linked() -> ReactorNet {
+        let mut n = ReactorNet::with_link(NetConfig {
+            latency_us: 1000,
+            bandwidth_bps: 1_000_000,
+        });
+        n.register(PeerId(1));
+        n.register(PeerId(2));
+        n
+    }
+
+    #[test]
+    fn delivery_accounts_latency_and_bandwidth() {
+        let mut n = linked();
+        n.send(PeerId(1), PeerId(2), "object", vec![0u8; 1000].into())
+            .unwrap();
+        assert_eq!(n.now_us(), 0, "sending never moves the clock");
+        assert_eq!(n.try_recv(PeerId(2)).unwrap().payload.len(), 1000);
+        assert_eq!(n.now_us(), 2000, "clock advanced to delivery");
+    }
+
+    #[test]
+    fn link_serializes_bursts() {
+        let mut n = linked();
+        n.send(PeerId(1), PeerId(2), "x", vec![0u8; 1000].into())
+            .unwrap();
+        n.send(PeerId(1), PeerId(2), "x", vec![0u8; 1000].into())
+            .unwrap();
+        n.try_recv(PeerId(2)).unwrap();
+        assert_eq!(n.now_us(), 2000);
+        n.try_recv(PeerId(2)).unwrap();
+        assert_eq!(
+            n.now_us(),
+            3000,
+            "second message queues behind the first's tx time"
+        );
+    }
+
+    #[test]
+    fn unknown_peer_rejected() {
+        let mut n = linked();
+        assert_eq!(
+            n.send(PeerId(1), PeerId(9), "x", Payload::empty()),
+            Err(NetError::UnknownPeer(PeerId(9)))
+        );
+        assert_eq!(n.now_us(), 0, "a rejected send costs no link time");
+    }
+
+    #[test]
+    fn recv_order_is_by_delivery_time() {
+        let mut n = linked();
+        n.send(PeerId(1), PeerId(2), "big", vec![0u8; 5000].into())
+            .unwrap();
+        n.send(PeerId(1), PeerId(2), "small", vec![0u8; 10].into())
+            .unwrap();
+        // Same link ⇒ FIFO by construction; but from another peer a
+        // small message can overtake.
+        n.register(PeerId(3));
+        n.send(PeerId(3), PeerId(2), "tiny", Payload::empty())
+            .unwrap();
+        let order: Vec<_> = std::iter::from_fn(|| n.try_recv(PeerId(2)))
+            .map(|m| m.kind)
+            .collect();
+        assert_eq!(order, ["tiny", "big", "small"]);
+        // Equal delivery times keep queue order.
+        n.send(PeerId(1), PeerId(3), "first", Payload::empty())
+            .unwrap();
+        n.send(PeerId(2), PeerId(3), "second", Payload::empty())
+            .unwrap();
+        assert_eq!(n.try_recv(PeerId(3)).unwrap().kind, "first");
+        assert_eq!(n.try_recv(PeerId(3)).unwrap().kind, "second");
+    }
+
+    #[test]
+    fn metrics_track_traffic() {
+        let mut n = linked();
+        n.send(PeerId(1), PeerId(2), "object", vec![0u8; 128].into())
+            .unwrap();
+        n.send(PeerId(2), PeerId(1), "desc", vec![0u8; 64].into())
+            .unwrap();
+        let m = Transport::metrics(&n);
+        assert_eq!((m.messages, m.bytes), (2, 192));
+        assert_eq!(m.kind("desc").bytes, 64);
+        n.reset_metrics();
+        assert_eq!(Transport::metrics(&n).messages, 0);
+        assert!(n.try_recv(PeerId(2)).is_some(), "reset keeps the queues");
+    }
+
+    #[test]
+    fn empty_inbox_returns_none() {
+        let mut n = linked();
+        assert!(n.try_recv(PeerId(1)).is_none());
+        assert!(
+            n.try_recv(PeerId(42)).is_none(),
+            "unknown peer ring is None"
+        );
+        assert_eq!(n.now_us(), 0, "an empty receive leaves the clock alone");
+    }
+
+    #[test]
+    fn fault_plan_drops_and_duplicates_deterministically() {
+        let mut n = linked();
+        let session = n.session_id();
+        n.install_fault_plan(FaultPlan::new(1).with_loss(1000));
+        n.send(PeerId(1), PeerId(2), "x", vec![0u8; 1000].into())
+            .unwrap();
+        assert_eq!(n.backlog(session), 0, "dropped before the ring");
+        let m = Transport::metrics(&n);
+        assert_eq!((m.faults_dropped, m.messages), (1, 1));
+        n.install_fault_plan(FaultPlan::new(1).with_duplication(1000));
+        n.send(PeerId(1), PeerId(2), "x", vec![2].into()).unwrap();
+        assert_eq!(n.backlog(session), 2, "duplicated into the ring");
+        assert_eq!(Transport::metrics(&n).faults_duplicated, 1);
+        n.try_recv(PeerId(2)).unwrap();
+        // The dropped kilobyte still occupied the link for 1000 µs.
+        assert_eq!(n.now_us(), 2001);
+        n.try_recv(PeerId(2)).unwrap();
+        assert_eq!(n.now_us(), 2001, "both copies share one delivery time");
+    }
+
+    #[test]
+    fn fault_partition_blocks_then_heals() {
+        let mut n = linked();
+        let session = n.session_id();
+        n.install_fault_plan(FaultPlan::new(1).with_partition([PeerId(2)], 0, 2));
+        n.send(PeerId(1), PeerId(2), "x", vec![1].into()).unwrap();
+        n.send(PeerId(2), PeerId(1), "x", vec![2].into()).unwrap();
+        assert_eq!(n.backlog(session), 0);
+        assert_eq!(Transport::metrics(&n).faults_partitioned, 2);
+        // Step 2: healed.
+        n.send(PeerId(1), PeerId(2), "x", vec![3].into()).unwrap();
+        assert_eq!(n.try_recv(PeerId(2)).unwrap().payload, vec![3]);
+    }
+
+    #[test]
+    fn advance_clock_only_moves_forward() {
+        let mut n = linked();
+        let parked = n.session();
+        n.schedule_wake(parked.session_id(), 3000);
+        assert!(n.advance_virtual_time(5000));
+        assert_eq!(n.now_us(), 5000);
+        assert_eq!(n.next_ready(), Some(parked.session_id()), "timer fired");
+        assert!(!n.timers_pending());
+        assert_eq!(n.stats().timer_fires, 1);
+        assert!(n.advance_virtual_time(100));
+        assert_eq!(n.now_us(), 5000, "never rewinds");
+    }
+
+    #[test]
+    fn wan_profile_slower_than_lan() {
+        let lan = NetConfig::default();
+        let wan = NetConfig::wan();
+        assert!(wan.tx_us(100_000) > lan.tx_us(100_000));
+        assert!(wan.latency_us > lan.latency_us);
+        let [lan_us, wan_us] = [lan, wan].map(|cfg| {
+            let mut n = ReactorNet::with_link(cfg);
+            n.register(PeerId(1));
+            n.register(PeerId(2));
+            n.send(PeerId(1), PeerId(2), "x", vec![0u8; 4096].into())
+                .unwrap();
+            n.try_recv(PeerId(2)).unwrap();
+            n.now_us()
+        });
+        assert_eq!(lan_us, lan.latency_us + lan.tx_us(4096));
+        assert!(wan_us > lan_us);
+    }
+
+    #[test]
+    fn shared_handles_drive_one_fabric() {
+        let mut left = ReactorNet::with_link(NetConfig::default());
+        let mut right = left.clone();
+        left.register(PeerId(1));
+        right.register(PeerId(2));
+        right.register(PeerId(1)); // same session: a no-op, not a collision
+                                   // A send through one handle is received through the other...
+        left.send(PeerId(1), PeerId(2), "k", vec![9].into())
+            .unwrap();
+        let m = right.try_recv(PeerId(2)).expect("shared rings");
+        assert_eq!(m.from, PeerId(1));
+        assert_eq!(m.payload, vec![9]);
+        // ...the virtual clock and metrics are shared too.
+        assert!(left.now_us() > 0);
+        assert_eq!(left.now_us(), right.now_us());
+        assert_eq!(Transport::metrics(&left).messages, 1);
+        assert_eq!(Transport::metrics(&right).messages, 1);
     }
 }

@@ -1,32 +1,61 @@
-//! The transport abstraction both fabrics implement.
+//! The transport abstraction both fabrics implement, plus the peer
+//! identity and error types they share.
 //!
 //! The protocol engine (`pti-transport`'s `Swarm`) is generic over this
 //! trait, so the *same* optimistic-exchange state machine runs
-//! single-threaded over the deterministic virtual-time [`SimNet`] (for
-//! reproducible experiments) and genuinely concurrently over the
-//! threaded [`LiveBus`] (for load and integration tests).
+//! single-threaded over the deterministic virtual-time [`ReactorNet`]
+//! (for reproducible experiments, optionally with a latency/bandwidth
+//! link model) and genuinely concurrently over the threaded
+//! [`LiveBus`] (for load and integration tests).
 //!
-//! [`SimNet`]: crate::SimNet
+//! [`ReactorNet`]: crate::ReactorNet
 //! [`LiveBus`]: crate::LiveBus
 
+use std::fmt;
 use std::time::Instant;
 
 use crate::bus::BusMessage;
 use crate::fault::FaultPlan;
 use crate::metrics::NetMetrics;
 use crate::payload::Payload;
-use crate::sim::{NetError, PeerId, SharedSimNet, SimNet};
+
+/// Identifies a peer on a fabric.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PeerId(pub u32);
+
+impl fmt::Display for PeerId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "peer-{}", self.0)
+    }
+}
+
+/// Errors a fabric reports on send.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NetError {
+    /// Destination peer was never registered.
+    UnknownPeer(PeerId),
+}
+
+impl fmt::Display for NetError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NetError::UnknownPeer(p) => write!(f, "unknown peer {p}"),
+        }
+    }
+}
+
+impl std::error::Error for NetError {}
 
 /// A message fabric connecting peers: registration, point-to-point send,
 /// per-peer receive, and shared traffic accounting.
 ///
-/// Implementations differ in their notion of time: [`SimNet`] is
+/// Implementations differ in their notion of time: [`ReactorNet`] is
 /// virtual-time and single-threaded (an empty inbox means the network is
 /// definitively quiet), while [`LiveBus`] is wall-clock and concurrent
 /// (an empty inbox may fill up a microsecond later, so receives take a
 /// deadline).
 ///
-/// [`SimNet`]: crate::SimNet
+/// [`ReactorNet`]: crate::ReactorNet
 /// [`LiveBus`]: crate::LiveBus
 pub trait Transport {
     /// Registers a peer, creating its inbox. Idempotent.
@@ -91,7 +120,7 @@ pub trait Transport {
     fn record_payload_encode(&mut self) {}
 
     /// The fabric's notion of "now" in microseconds — virtual time on
-    /// the simulated fabrics, time since fabric creation on the live
+    /// the reactor fabric, time since fabric creation on the live
     /// ones. The durability layer stamps retransmit deadlines with it.
     /// The default (a frozen clock) disables time-based retries.
     fn now_us(&self) -> u64 {
@@ -115,126 +144,11 @@ pub trait Transport {
     }
 }
 
-impl Transport for SimNet {
-    fn register(&mut self, peer: PeerId) {
-        SimNet::register(self, peer);
-    }
-
-    fn send(
-        &mut self,
-        from: PeerId,
-        to: PeerId,
-        kind: &'static str,
-        payload: Payload,
-    ) -> Result<(), NetError> {
-        SimNet::send(self, from, to, kind, payload).map(|_deliver_at| ())
-    }
-
-    fn try_recv(&mut self, peer: PeerId) -> Option<BusMessage> {
-        SimNet::recv(self, peer).map(|m| BusMessage {
-            from: m.from,
-            to: m.to,
-            kind: m.kind,
-            payload: m.payload,
-        })
-    }
-
-    fn metrics(&self) -> NetMetrics {
-        SimNet::metrics(self).clone()
-    }
-
-    fn reset_metrics(&mut self) {
-        SimNet::reset_metrics(self);
-    }
-
-    fn record_batch_splits(&mut self, from: PeerId, to: PeerId, extra: u64) {
-        SimNet::metrics_mut(self).record_batch_splits(from, to, extra);
-    }
-
-    fn record_batched_frame(&mut self, kind: &'static str, bytes: usize) {
-        SimNet::metrics_mut(self).record_batched_frame(kind, bytes);
-    }
-
-    fn record_payload_encode(&mut self) {
-        SimNet::metrics_mut(self).record_payload_encode();
-    }
-
-    fn now_us(&self) -> u64 {
-        SimNet::now_us(self)
-    }
-
-    fn install_fault_plan(&mut self, plan: FaultPlan) {
-        SimNet::install_fault_plan(self, plan);
-    }
-
-    fn advance_virtual_time(&mut self, deadline_us: u64) -> bool {
-        SimNet::advance_clock_to(self, deadline_us);
-        true
-    }
-}
-
-/// Every clone drives the same underlying [`SimNet`]: registration,
-/// sends, receives and metrics all land on the shared fabric, exactly
-/// like clones of a [`LiveBus`](crate::LiveBus) handle — but
-/// single-threaded and in virtual time.
-impl Transport for SharedSimNet {
-    fn register(&mut self, peer: PeerId) {
-        self.with(|net| net.register(peer));
-    }
-
-    fn send(
-        &mut self,
-        from: PeerId,
-        to: PeerId,
-        kind: &'static str,
-        payload: Payload,
-    ) -> Result<(), NetError> {
-        self.with(|net| net.send(from, to, kind, payload).map(|_deliver_at| ()))
-    }
-
-    fn try_recv(&mut self, peer: PeerId) -> Option<BusMessage> {
-        self.with(|net| Transport::try_recv(net, peer))
-    }
-
-    fn metrics(&self) -> NetMetrics {
-        SharedSimNet::metrics(self)
-    }
-
-    fn reset_metrics(&mut self) {
-        self.with(SimNet::reset_metrics);
-    }
-
-    fn record_batch_splits(&mut self, from: PeerId, to: PeerId, extra: u64) {
-        self.with(|net| net.metrics_mut().record_batch_splits(from, to, extra));
-    }
-
-    fn record_batched_frame(&mut self, kind: &'static str, bytes: usize) {
-        self.with(|net| net.metrics_mut().record_batched_frame(kind, bytes));
-    }
-
-    fn record_payload_encode(&mut self) {
-        self.with(|net| net.metrics_mut().record_payload_encode());
-    }
-
-    fn now_us(&self) -> u64 {
-        SharedSimNet::now_us(self)
-    }
-
-    fn install_fault_plan(&mut self, plan: FaultPlan) {
-        SharedSimNet::install_fault_plan(self, plan);
-    }
-
-    fn advance_virtual_time(&mut self, deadline_us: u64) -> bool {
-        SharedSimNet::advance_clock_to(self, deadline_us);
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bus::LiveBus;
-    use crate::sim::NetConfig;
+    use crate::reactor::{NetConfig, ReactorNet};
     use std::time::Duration;
 
     fn exercise<T: Transport>(mut t: T) {
@@ -260,8 +174,8 @@ mod tests {
     }
 
     #[test]
-    fn simnet_implements_transport() {
-        exercise(SimNet::new(NetConfig::default()));
+    fn linked_reactor_implements_transport() {
+        exercise(ReactorNet::with_link(NetConfig::default()));
     }
 
     #[test]
@@ -271,7 +185,7 @@ mod tests {
 
     #[test]
     fn recv_deadline_returns_queued_message() {
-        let mut t = SimNet::new(NetConfig::default());
+        let mut t = ReactorNet::with_link(NetConfig::default());
         t.register(PeerId(1));
         t.register(PeerId(2));
         t.send(PeerId(1), PeerId(2), "k", Payload::empty()).unwrap();

@@ -562,7 +562,7 @@ mod tests {
     #[test]
     fn no_code_crosses_the_wire_for_references() {
         let (swarm, _fabric, _s, _c, _p) = setup();
-        let m = swarm.net().metrics();
+        let m = swarm.metrics();
         assert_eq!(m.kind(pti_transport::kinds::ASM_REQUEST).messages, 0);
         assert_eq!(m.kind(pti_transport::kinds::DESC_REQUEST).messages, 1);
     }
@@ -570,12 +570,12 @@ mod tests {
     #[test]
     fn out_of_contract_method_rejected_client_side() {
         let (mut swarm, mut fabric, _s, client, proxy) = setup();
-        let before = swarm.net().metrics().messages;
+        let before = swarm.metrics().messages;
         let err = fabric
             .invoke(&mut swarm, client, &proxy, "getPersonName", &[])
             .unwrap_err();
         assert!(err.to_string().contains("not in the expected contract"));
-        assert_eq!(swarm.net().metrics().messages, before, "nothing was sent");
+        assert_eq!(swarm.metrics().messages, before, "nothing was sent");
     }
 
     #[test]

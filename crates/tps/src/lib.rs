@@ -25,7 +25,7 @@
 //! of one published type, and a [`Subscription`] yields the matched
 //! events — callers never touch a runtime or an envelope. The group is
 //! generic over the transport, so the same code runs deterministically
-//! on a [`SimNet`] and concurrently on a
+//! on a [`ReactorNet`] and concurrently on a
 //! [`LiveBus`](pti_net::LiveBus).
 //!
 //! ## Example
@@ -80,7 +80,7 @@ use std::time::Duration;
 
 use pti_conformance::ConformanceConfig;
 use pti_metamodel::{Assembly, Guid, ObjHandle, TypeDef, TypeDescription, TypeName, Value};
-use pti_net::{NetConfig, NetMetrics, PeerId, ReactorNet, SimNet, Transport};
+use pti_net::{NetConfig, NetMetrics, PeerId, ReactorNet, Transport};
 use pti_proxy::DynamicProxy;
 use pti_serialize::PayloadFormat;
 use pti_transport::{
@@ -211,7 +211,7 @@ impl<T: Transport> Group<T> {
 ///
 /// This is a cheaply-cloneable session handle; [`Member`], [`Publisher`]
 /// and [`Subscription`] all point back into the same group.
-pub struct TypedPubSub<T: Transport = SimNet> {
+pub struct TypedPubSub<T: Transport = ReactorNet> {
     inner: Arc<Mutex<Group<T>>>,
 }
 
@@ -259,7 +259,7 @@ impl Default for Builder {
 }
 
 impl Builder {
-    /// Link parameters for the simulated network (ignored by
+    /// Link parameters for the [`build`](Self::build) fabric (ignored by
     /// [`over`](Self::over)).
     pub fn net(mut self, config: NetConfig) -> Builder {
         self.net = config;
@@ -351,9 +351,10 @@ impl Builder {
         self
     }
 
-    /// Builds the group over a fresh deterministic [`SimNet`].
-    pub fn build(self) -> TypedPubSub<SimNet> {
-        let net = SimNet::new(self.net);
+    /// Builds the group over a fresh deterministic [`ReactorNet`] that
+    /// prices messages with the [`net`](Self::net) link parameters.
+    pub fn build(self) -> TypedPubSub<ReactorNet> {
+        let net = ReactorNet::with_link(self.net);
         self.over(net)
     }
 
@@ -420,15 +421,15 @@ impl Builder {
     }
 }
 
-impl TypedPubSub<SimNet> {
+impl TypedPubSub<ReactorNet> {
     /// Starts configuring a group.
     pub fn builder() -> Builder {
         Builder::default()
     }
 
-    /// Shorthand: a group over a simulated network with the given link
+    /// Shorthand: a group over a fresh reactor fabric with the given link
     /// parameters and the default profile.
-    pub fn new(config: NetConfig) -> TypedPubSub<SimNet> {
+    pub fn new(config: NetConfig) -> TypedPubSub<ReactorNet> {
         Builder::default().net(config).build()
     }
 }
@@ -562,7 +563,7 @@ impl<T: Transport> TypedPubSub<T> {
     /// shed (retry budget exhausted — surfaced via
     /// [`take_dispatch_errors`](Self::take_dispatch_errors)). The right
     /// pump for groups built with [`Builder::qos`]`(QoS::AtLeastOnce)`
-    /// on a `SimNet`.
+    /// on a `ReactorNet`.
     ///
     /// # Errors
     /// Pump-budget exhaustion; per-message protocol errors are isolated,

@@ -9,7 +9,7 @@ use pti_serialize::SerializeError;
 /// Errors raised by the optimistic transport protocol engine.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TransportError {
-    /// The simulated network rejected an operation.
+    /// The fabric rejected an operation.
     Net(NetError),
     /// A payload failed to (de)serialize.
     Serialize(SerializeError),

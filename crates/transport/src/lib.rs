@@ -17,10 +17,11 @@
 //!    deserialized, wrapped in a dynamic proxy for the matched interest.
 //!
 //! A [`Swarm`] wires [`Peer`]s to any [`Transport`](pti_net::Transport)
-//! fabric and drives this exchange: [`SimSwarm`] (= `Swarm<SimNet>`) is
-//! the deterministic virtual-time engine the experiments run on, and
-//! [`LiveSwarm`] (= `Swarm<LiveBus>`) runs the *identical* state machine
-//! over real threads, with a shared [`CodeRegistry`] standing in for a
+//! fabric and drives this exchange: [`ReactorSwarm`]
+//! (= `Swarm<ReactorNet>`, the default) is the deterministic
+//! virtual-time engine the experiments run on, and [`LiveSwarm`]
+//! (= `Swarm<LiveBus>`) runs the *identical* state machine over real
+//! threads, with a shared [`CodeRegistry`] standing in for a
 //! code server. [`Swarm::send_object_eager`] implements the
 //! ship-everything baseline the protocol is measured against
 //! (experiment F1).
@@ -107,6 +108,6 @@ pub use reactor_host::{MountedSwarm, ReactorHost, DEFAULT_FAIRNESS_BUDGET};
 pub use routing::{RoutingTable, Signature};
 pub use sharded::ShardedHost;
 pub use swarm::{
-    kinds, FloodOutcome, LiveSwarm, ReactorSwarm, SimSwarm, Swarm, DEFAULT_WIRE_MAX_BYTES,
+    kinds, FloodOutcome, LiveSwarm, ReactorSwarm, Swarm, DEFAULT_WIRE_MAX_BYTES,
     DEFAULT_WIRE_MAX_FRAMES,
 };

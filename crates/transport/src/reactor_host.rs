@@ -325,21 +325,7 @@ impl ReactorHost {
     /// # Errors
     /// Protocol violations or runtime failures inside any swarm.
     pub fn run_until_quiescent(&mut self) -> Result<()> {
-        self.drain_injector();
-        self.kick_all()?;
-        loop {
-            while let Some(session) = self.hub.next_ready() {
-                if let Some(idx) = self.slot_of(session) {
-                    self.pump_slot(idx)?;
-                }
-            }
-            // Bridged traffic may have landed while we pumped; a turn
-            // that drains nothing new means this shard is quiescent
-            // (the *fabric-wide* barrier is the sharded host's job).
-            if self.drain_injector() == 0 {
-                return Ok(());
-            }
-        }
+        self.drive(None)
     }
 
     /// Runs for `virtual_us` of virtual time: drains ready swarms, then
@@ -352,6 +338,15 @@ impl ReactorHost {
     /// Same conditions as [`run_until_quiescent`](Self::run_until_quiescent).
     pub fn run_for(&mut self, virtual_us: u64) -> Result<()> {
         let deadline = self.hub.now_us().saturating_add(virtual_us);
+        self.drive(Some(deadline))
+    }
+
+    /// The drain loop both drivers share: pump ready swarms until none
+    /// is ready and no bridged traffic landed during the turn (a turn
+    /// that drains nothing new means this shard is quiescent — the
+    /// *fabric-wide* barrier is the sharded host's job); then, with a
+    /// `deadline`, park until the next timer inside it and go again.
+    fn drive(&mut self, deadline: Option<u64>) -> Result<()> {
         self.drain_injector();
         self.kick_all()?;
         loop {
@@ -363,8 +358,9 @@ impl ReactorHost {
             if self.drain_injector() > 0 {
                 continue;
             }
-            if !self.hub.advance_idle_until(deadline) {
-                return Ok(());
+            match deadline {
+                Some(deadline) if self.hub.advance_idle_until(deadline) => {}
+                _ => return Ok(()),
             }
         }
     }

@@ -21,8 +21,8 @@
 //! experiment F1.
 //!
 //! The engine is generic over [`Transport`], so the *same* state machine
-//! runs on the deterministic virtual-time [`SimNet`] (as [`SimSwarm`],
-//! for reproducible experiments) and on the threaded
+//! runs on the deterministic virtual-time [`ReactorNet`] (as
+//! [`ReactorSwarm`], for reproducible experiments) and on the threaded
 //! [`LiveBus`](pti_net::LiveBus) (as [`LiveSwarm`], one swarm per thread
 //! over a shared fabric, for genuinely concurrent load).
 
@@ -32,8 +32,7 @@ use std::time::{Duration, Instant};
 use pti_conformance::ConformanceConfig;
 use pti_metamodel::{Assembly, Guid, TypeDescription, Value};
 use pti_net::{
-    BusMessage, FrameBatch, LiveBus, NetConfig, NetError, Payload, PeerId, ReactorNet, SimNet,
-    Transport,
+    BusMessage, FrameBatch, LiveBus, NetConfig, NetError, Payload, PeerId, ReactorNet, Transport,
 };
 use pti_proxy::DynamicProxy;
 use pti_serialize::{
@@ -140,12 +139,12 @@ pub struct FloodOutcome {
 /// A set of peers wired to one transport fabric, with the out-of-band
 /// code registry.
 ///
-/// On a [`SimNet`] one swarm owns every peer and drives the whole
+/// On a [`ReactorNet`] one swarm can own every peer and drive the whole
 /// exchange deterministically. On a live fabric several swarms — one per
 /// thread, each owning *its* peers — share the fabric handle's clones
 /// and a [`CodeRegistry`], and the identical protocol code runs
 /// concurrently.
-pub struct Swarm<T: Transport = SimNet> {
+pub struct Swarm<T: Transport = ReactorNet> {
     net: T,
     peers: BTreeMap<PeerId, Peer>,
     code: CodeRegistry,
@@ -187,16 +186,13 @@ pub struct Swarm<T: Transport = SimNet> {
     dispatch_errors: Vec<(PeerId, TransportError)>,
 }
 
-/// The deterministic virtual-time swarm every experiment runs on.
-pub type SimSwarm = Swarm<SimNet>;
-
 /// A swarm over the threaded bus: genuinely concurrent peers, same
 /// protocol.
 pub type LiveSwarm = Swarm<LiveBus>;
 
-/// A swarm over the readiness-driven reactor fabric: thousands of these
-/// share one thread under a
-/// [`ReactorHost`](crate::reactor_host::ReactorHost), same protocol.
+/// A swarm over the readiness-driven, virtual-time reactor fabric: every
+/// experiment runs on one, and thousands of these share one thread under
+/// a [`ReactorHost`](crate::reactor_host::ReactorHost), same protocol.
 pub type ReactorSwarm = Swarm<ReactorNet>;
 
 impl<T: Transport> std::fmt::Debug for Swarm<T> {
@@ -211,11 +207,11 @@ impl<T: Transport> std::fmt::Debug for Swarm<T> {
     }
 }
 
-impl Swarm<SimNet> {
-    /// Creates a swarm over a fresh simulated network with the given
-    /// link parameters.
-    pub fn new(config: NetConfig) -> SimSwarm {
-        Swarm::over(SimNet::new(config))
+impl Swarm<ReactorNet> {
+    /// Creates a swarm over a fresh reactor fabric that prices messages
+    /// with the given link parameters.
+    pub fn new(config: NetConfig) -> ReactorSwarm {
+        Swarm::over(ReactorNet::with_link(config))
     }
 }
 
@@ -305,7 +301,8 @@ impl<T: Transport> Swarm<T> {
         self.peers.get_mut(&id).expect("unknown peer")
     }
 
-    /// The underlying transport (metrics, clock on a [`SimNet`]).
+    /// The underlying transport (metrics, virtual clock on a
+    /// [`ReactorNet`]).
     pub fn net(&self) -> &T {
         &self.net
     }
@@ -1146,24 +1143,15 @@ impl<T: Transport> Swarm<T> {
     /// Budget exhaustion — the hard bound converting livelock bugs into
     /// errors.
     pub fn run(&mut self) -> Result<()> {
-        loop {
-            self.flush_wire();
-            let Some((at, msg)) = self.poll_message()? else {
-                return Ok(());
-            };
-            if let Err(e) = self.dispatch_required(at, msg) {
-                // pti-allow(unbounded-queue): drained by take_dispatch_errors; growth is bounded by messages handled this pump
-                self.dispatch_errors.push((at, e));
-            }
-        }
+        self.drive(usize::MAX, Self::poll_message).map(drop)
     }
 
     /// Runs the protocol to quiescence *and through every pending
     /// retransmit*: when [`run`](Self::run) drains the fabric but
     /// reliable links still await ACKs, the virtual clock is advanced to
     /// the next retransmit deadline and the pump resumes — the way a
-    /// lossy [`SimNet`](pti_net::SimNet) workload reaches 100% delivery
-    /// without wall-clock sleeps. Returns once every link is settled or
+    /// lossy [`ReactorNet`] workload reaches 100% delivery without
+    /// wall-clock sleeps. Returns once every link is settled or
     /// shed (unreachable peers surface through
     /// [`take_dispatch_errors`](Self::take_dispatch_errors)); on a
     /// wall-clock fabric (which cannot jump time) it behaves like
@@ -1191,16 +1179,8 @@ impl<T: Transport> Swarm<T> {
     /// Same conditions as [`run`](Self::run) — per-message failures are
     /// isolated into [`take_dispatch_errors`](Self::take_dispatch_errors).
     pub fn run_for(&mut self, idle: Duration) -> Result<()> {
-        loop {
-            self.flush_wire();
-            let Some((at, msg)) = self.poll_deadline(Instant::now() + idle)? else {
-                return Ok(());
-            };
-            if let Err(e) = self.dispatch_required(at, msg) {
-                // pti-allow(unbounded-queue): drained by take_dispatch_errors; growth is bounded by messages handled this pump
-                self.dispatch_errors.push((at, e));
-            }
-        }
+        self.drive(usize::MAX, |s| s.poll_deadline(Instant::now() + idle))
+            .map(drop)
     }
 
     /// Pumps at most `max` pending messages through the protocol, then
@@ -1215,11 +1195,27 @@ impl<T: Transport> Swarm<T> {
     /// Same conditions as [`run`](Self::run) — per-message failures are
     /// isolated into [`take_dispatch_errors`](Self::take_dispatch_errors).
     pub fn pump(&mut self, max: usize) -> Result<usize> {
+        self.drive(max, Self::poll_message)
+    }
+
+    /// The loop behind [`run`](Self::run), [`run_for`](Self::run_for)
+    /// and [`pump`](Self::pump): flush queued wire frames, take the next
+    /// message from `next` and dispatch it — isolating a per-message
+    /// failure into `dispatch_errors` — until `next` runs dry or `max`
+    /// messages were handled. The wire is always flushed on the way out.
+    fn drive(
+        &mut self,
+        max: usize,
+        mut next: impl FnMut(&mut Self) -> Result<Option<(PeerId, BusMessage)>>,
+    ) -> Result<usize> {
         let mut handled = 0;
-        while handled < max {
+        loop {
             self.flush_wire();
-            let Some((at, msg)) = self.poll_message()? else {
-                break;
+            if handled == max {
+                return Ok(handled);
+            }
+            let Some((at, msg)) = next(self)? else {
+                return Ok(handled);
             };
             if let Err(e) = self.dispatch_required(at, msg) {
                 // pti-allow(unbounded-queue): drained by take_dispatch_errors; growth is bounded by messages handled this pump
@@ -1227,8 +1223,6 @@ impl<T: Transport> Swarm<T> {
             }
             handled += 1;
         }
-        self.flush_wire();
-        Ok(handled)
     }
 
     fn dispatch_required(&mut self, at: PeerId, msg: BusMessage) -> Result<()> {
@@ -1243,22 +1237,23 @@ impl<T: Transport> Swarm<T> {
     }
 
     /// Pops the next deliverable message from any owned peer's inbox
-    /// (advancing the virtual clock on a [`SimNet`]). `None` when nothing
-    /// is queued right now.
+    /// (advancing the virtual clock under a [`ReactorNet`] link model).
+    /// `None` when nothing is queued right now.
     ///
     /// # Errors
     /// Budget exhaustion — a hard bound converting livelock bugs into
     /// errors.
     pub fn poll_message(&mut self) -> Result<Option<(PeerId, BusMessage)>> {
         self.check_budget()?;
-        let ids: Vec<PeerId> = self.peers.keys().copied().collect();
-        for id in ids {
-            if let Some(msg) = self.net.try_recv(id) {
-                self.budget -= 1;
-                return Ok(Some((id, msg)));
-            }
+        let net = &mut self.net;
+        let found = self
+            .peers
+            .keys()
+            .find_map(|&id| net.try_recv(id).map(|msg| (id, msg)));
+        if found.is_some() {
+            self.budget -= 1;
         }
-        Ok(None)
+        Ok(found)
     }
 
     /// Like [`poll_message`](Self::poll_message), but waits until

@@ -119,7 +119,7 @@ fn protocol_fetches_description_then_code() {
         .send_object(alice, bob, &v, PayloadFormat::Binary)
         .unwrap();
     swarm.run().unwrap();
-    let m = swarm.net().metrics();
+    let m = swarm.metrics();
     assert_eq!(m.kind(kinds::OBJECT).messages, 1);
     assert_eq!(m.kind(kinds::DESC_REQUEST).messages, 1);
     assert_eq!(m.kind(kinds::DESC_RESPONSE).messages, 1);
@@ -150,7 +150,7 @@ fn second_object_of_same_type_skips_all_fetches() {
         .send_object(alice, bob, &v2, PayloadFormat::Binary)
         .unwrap();
     swarm.run().unwrap();
-    let m = swarm.net().metrics();
+    let m = swarm.metrics();
     assert_eq!(m.kind(kinds::OBJECT).messages, 1);
     assert_eq!(
         m.kind(kinds::DESC_REQUEST).messages,
@@ -184,7 +184,7 @@ fn nonconformant_object_rejected_without_code_download() {
     assert!(
         matches!(&ds[0], Delivery::Rejected { type_name, .. } if type_name.full() == "Spaceship")
     );
-    let m = swarm.net().metrics();
+    let m = swarm.metrics();
     assert_eq!(
         m.kind(kinds::DESC_REQUEST).messages,
         1,
@@ -217,7 +217,7 @@ fn eager_baseline_ships_everything_every_time() {
     let ds = swarm.peer_mut(bob).take_deliveries();
     assert_eq!(ds.len(), 2);
     assert!(ds.iter().all(Delivery::is_accepted));
-    let eager_bytes = swarm.net().metrics().kind(kinds::EAGER_OBJECT).bytes;
+    let eager_bytes = swarm.metrics().kind(kinds::EAGER_OBJECT).bytes;
 
     // The same two transfers under the optimistic protocol.
     let Fixture {
@@ -235,7 +235,7 @@ fn eager_baseline_ships_everything_every_time() {
         .send_object(alice, bob, &v2, PayloadFormat::Binary)
         .unwrap();
     swarm.run().unwrap();
-    let optimistic_bytes = swarm.net().metrics().bytes;
+    let optimistic_bytes = swarm.metrics().bytes;
 
     assert!(
         optimistic_bytes < eager_bytes,
@@ -306,7 +306,7 @@ fn primitive_values_accepted_without_protocol_rounds() {
     };
     assert!(proxy.is_none());
     assert_eq!(value.as_array().unwrap().len(), 2);
-    assert_eq!(swarm.net().metrics().kind(kinds::DESC_REQUEST).messages, 0);
+    assert_eq!(swarm.metrics().kind(kinds::DESC_REQUEST).messages, 0);
 }
 
 #[test]
@@ -388,7 +388,7 @@ fn nested_multi_assembly_object_travels_whole() {
     // together, the two requests crossed the wire as one coalesced
     // batch, not two messages (responses batch the same way).
     assert_eq!(swarm.peer(bob).stats.asm_requests, 2);
-    let m = swarm.net().metrics();
+    let m = swarm.metrics();
     assert_eq!(m.kind(kinds::ASM_REQUEST).messages, 0, "requests batched");
     assert!(
         m.batched_frames() >= 4,
@@ -510,7 +510,7 @@ fn many_types_many_objects_mixed_verdicts() {
     let accepted = ds.iter().filter(|d| d.is_accepted()).count();
     assert_eq!(accepted, 4, "4 Persons accepted, 2 Spaceships rejected");
     // Spaceship's code never crossed the wire.
-    assert_eq!(swarm.net().metrics().kind(kinds::ASM_REQUEST).messages, 1);
+    assert_eq!(swarm.metrics().kind(kinds::ASM_REQUEST).messages, 1);
 }
 
 /// Regression: an exchange whose envelope lists a description path that

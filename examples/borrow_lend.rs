@@ -128,7 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("after give_back, another peer could borrow it");
 
     // Pass-by-reference means no assembly ever crossed the wire.
-    let m = market.swarm().net().metrics();
+    let m = market.swarm().metrics();
     println!(
         "\nwire: {} messages, {} bytes; code downloads: {}",
         m.messages,

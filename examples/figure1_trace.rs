@@ -85,7 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let m = swarm.net().metrics();
+    let m = swarm.metrics();
     println!(
         "\ntotals: {} messages, {} bytes; code fetched {} time(s) for 3 objects",
         m.messages,

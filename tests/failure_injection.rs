@@ -364,7 +364,7 @@ fn healed_partition_delivers_everything_published_during_the_cut() {
 /// deadlines: drain every swarm, then jump the shared virtual clock to
 /// the earliest armed deadline and drain again, until every reliable
 /// link is settled or shed.
-fn pump_durable(swarms: &mut [Swarm<SharedSimNet>]) {
+fn pump_durable(swarms: &mut [Swarm<ReactorNet>]) {
     loop {
         let mut last = u64::MAX;
         loop {
@@ -390,12 +390,11 @@ fn pump_durable(swarms: &mut [Swarm<SharedSimNet>]) {
 
 #[test]
 fn crashed_subscriber_resumes_into_retained_ring_replay() {
-    let fabric = SharedSimNet::new(NetConfig::default());
+    let fabric = ReactorNet::with_link(NetConfig::default());
     let code = CodeRegistry::new();
 
     // Publisher swarm: AtLeastOnce with an 8-deep replay ring.
-    let mut pub_swarm: Swarm<SharedSimNet> =
-        Swarm::with_code_registry(fabric.clone(), code.clone());
+    let mut pub_swarm: Swarm<ReactorNet> = Swarm::with_code_registry(fabric.clone(), code.clone());
     let alice = pub_swarm.add_peer_as(PeerId(1), ConformanceConfig::pragmatic());
     let a = samples::person_vendor_a();
     pub_swarm
@@ -405,8 +404,7 @@ fn crashed_subscriber_resumes_into_retained_ring_replay() {
     pub_swarm.set_replay_depth(8);
 
     // Subscriber swarm joins and receives the first five events.
-    let mut sub_swarm: Swarm<SharedSimNet> =
-        Swarm::with_code_registry(fabric.clone(), code.clone());
+    let mut sub_swarm: Swarm<ReactorNet> = Swarm::with_code_registry(fabric.clone(), code.clone());
     let bob = sub_swarm.add_peer_as(PeerId(2), ConformanceConfig::pragmatic());
     sub_swarm.subscribe(bob, TypeDescription::from_def(&samples::person_vendor_b()));
     sub_swarm.join(alice).unwrap();
@@ -459,7 +457,7 @@ fn crashed_subscriber_resumes_into_retained_ring_replay() {
 
     // Resume: a fresh incarnation subscribes and joins; the membership
     // hello triggers a retained-ring replay of all seven events.
-    let mut resumed: Swarm<SharedSimNet> = Swarm::with_code_registry(fabric.clone(), code.clone());
+    let mut resumed: Swarm<ReactorNet> = Swarm::with_code_registry(fabric.clone(), code.clone());
     let carol = resumed.add_peer_as(PeerId(3), ConformanceConfig::pragmatic());
     resumed.subscribe(
         carol,

@@ -1,7 +1,8 @@
 //! Membership acceptance: a swarm that joins *after* interests were
 //! gossiped must resolve the identical subscriber set a founding swarm
 //! resolves — with zero manual `add_contact` wiring — on both fabrics
-//! (`SharedSimNet` virtual-time, `LiveBus` threads); and a burst beyond
+//! (cloned `ReactorNet` handles in virtual time, `LiveBus` threads); and
+//! a burst beyond
 //! the wire-batch cap must ship as multiple bounded batches with no
 //! frame loss.
 
@@ -128,7 +129,7 @@ fn run_late_join<T: Transport>(fabrics: (T, T, T)) -> LateJoinOutcome {
 
 #[test]
 fn late_joiner_resolves_the_founders_subscriber_set_on_both_fabrics() {
-    let sim_fabric = SharedSimNet::new(NetConfig::default());
+    let sim_fabric = ReactorNet::with_link(NetConfig::default());
     let sim = run_late_join((sim_fabric.clone(), sim_fabric.clone(), sim_fabric));
     let live_fabric = LiveBus::new();
     let live = run_late_join((live_fabric.clone(), live_fabric.clone(), live_fabric));
@@ -236,10 +237,10 @@ fn tps_groups_join_and_migrate_without_manual_wiring() {
 
 #[test]
 fn peers_added_after_join_are_announced_to_the_group() {
-    let fabric = SharedSimNet::new(NetConfig::default());
+    let fabric = ReactorNet::with_link(NetConfig::default());
     let code = CodeRegistry::new();
-    let mut a: Swarm<SharedSimNet> = Swarm::with_code_registry(fabric.clone(), code.clone());
-    let mut b: Swarm<SharedSimNet> = Swarm::with_code_registry(fabric, code);
+    let mut a: Swarm<ReactorNet> = Swarm::with_code_registry(fabric.clone(), code.clone());
+    let mut b: Swarm<ReactorNet> = Swarm::with_code_registry(fabric, code);
     let p1 = a.add_peer_as(PeerId(1), ConformanceConfig::pragmatic());
     b.add_peer_as(PeerId(2), ConformanceConfig::pragmatic());
     b.join(p1).unwrap();
@@ -272,11 +273,11 @@ fn gossip_in_the_join_window_reaches_the_whole_group() {
     // any pump, while its contact list is still just the seed. The
     // hello a swarm sends to every newly met contact must carry the
     // interest to B anyway.
-    let fabric = SharedSimNet::new(NetConfig::default());
+    let fabric = ReactorNet::with_link(NetConfig::default());
     let code = CodeRegistry::new();
-    let mut a: Swarm<SharedSimNet> = Swarm::with_code_registry(fabric.clone(), code.clone());
-    let mut b: Swarm<SharedSimNet> = Swarm::with_code_registry(fabric.clone(), code.clone());
-    let mut c: Swarm<SharedSimNet> = Swarm::with_code_registry(fabric, code);
+    let mut a: Swarm<ReactorNet> = Swarm::with_code_registry(fabric.clone(), code.clone());
+    let mut b: Swarm<ReactorNet> = Swarm::with_code_registry(fabric.clone(), code.clone());
+    let mut c: Swarm<ReactorNet> = Swarm::with_code_registry(fabric, code);
     let p1 = a.add_peer_as(PeerId(1), ConformanceConfig::pragmatic());
     b.add_peer_as(PeerId(2), ConformanceConfig::pragmatic());
     let p3 = c.add_peer_as(PeerId(3), ConformanceConfig::pragmatic());
@@ -327,8 +328,8 @@ fn undrained_events_survive_migration() {
 
 #[test]
 fn a_failed_join_leaves_no_phantom_contact() {
-    let fabric = SharedSimNet::new(NetConfig::default());
-    let mut swarm: Swarm<SharedSimNet> = Swarm::over(fabric);
+    let fabric = ReactorNet::with_link(NetConfig::default());
+    let mut swarm: Swarm<ReactorNet> = Swarm::over(fabric);
     swarm.add_peer_as(PeerId(1), ConformanceConfig::pragmatic());
     assert!(swarm.join(PeerId(99)).is_err(), "seed never registered");
     assert!(swarm.contacts().is_empty(), "no state change on failure");
@@ -339,10 +340,10 @@ fn a_failed_join_leaves_no_phantom_contact() {
 fn leave_retires_manually_wired_contacts_too() {
     // The add_contact escape hatch bypasses the membership view; a LEAVE
     // must still take such contacts (and their routes) out.
-    let fabric = SharedSimNet::new(NetConfig::default());
+    let fabric = ReactorNet::with_link(NetConfig::default());
     let code = CodeRegistry::new();
-    let mut a: Swarm<SharedSimNet> = Swarm::with_code_registry(fabric.clone(), code.clone());
-    let mut b: Swarm<SharedSimNet> = Swarm::with_code_registry(fabric, code);
+    let mut a: Swarm<ReactorNet> = Swarm::with_code_registry(fabric.clone(), code.clone());
+    let mut b: Swarm<ReactorNet> = Swarm::with_code_registry(fabric, code);
     let p1 = a.add_peer_as(PeerId(1), ConformanceConfig::pragmatic());
     let p2 = b.add_peer_as(PeerId(2), ConformanceConfig::pragmatic());
     a.add_contact(p2);

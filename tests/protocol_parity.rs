@@ -88,7 +88,7 @@ fn optimistic_wins_bytes_when_types_repeat() {
             }
             swarm.run().unwrap();
         }
-        bytes.push(swarm.net().metrics().bytes);
+        bytes.push(swarm.metrics().bytes);
     }
     let (optimistic, eager) = (bytes[0], bytes[1]);
     assert!(
@@ -122,7 +122,7 @@ fn eager_wastes_code_on_rejected_types() {
             }
         }
         swarm.run().unwrap();
-        swarm.net().metrics().bytes
+        swarm.metrics().bytes
     };
     let optimistic = mk(false);
     let eager = mk(true);
@@ -143,7 +143,7 @@ fn single_cold_transfer_overhead_is_bounded() {
         .send_object(pub_, sub, &v, PayloadFormat::Binary)
         .unwrap();
     swarm.run().unwrap();
-    let optimistic = swarm.net().metrics().bytes;
+    let optimistic = swarm.metrics().bytes;
 
     let (mut swarm, pub_, sub) = fixture();
     let v = samples::make_person(&mut swarm.peer_mut(pub_).runtime, "solo");
@@ -151,7 +151,7 @@ fn single_cold_transfer_overhead_is_bounded() {
         .send_object_eager(pub_, sub, &v, PayloadFormat::Binary)
         .unwrap();
     swarm.run().unwrap();
-    let eager = swarm.net().metrics().bytes;
+    let eager = swarm.metrics().bytes;
 
     let ratio = optimistic as f64 / eager as f64;
     assert!(

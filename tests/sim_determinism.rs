@@ -1,7 +1,8 @@
-//! `SharedSimNet` multi-swarm determinism: the virtual-time fabric's
-//! whole value is reproducibility, so a seeded churn script — joins,
-//! leaves, routed publishes — must produce a **byte-identical** delivery
-//! log across two runs. Any hidden iteration-order or timing
+//! Multi-swarm determinism on cloned handles of one linked
+//! `ReactorNet`: the virtual-time fabric's whole value is
+//! reproducibility, so a seeded churn script — joins, leaves, routed
+//! publishes — must produce a **byte-identical** delivery log across two
+//! runs. Any hidden iteration-order or timing
 //! nondeterminism in the shared fabric, the membership gossip, or the
 //! interest router would scramble the log and fail the comparison.
 
@@ -22,7 +23,7 @@ impl SplitMix64 {
 }
 
 /// Sweeps every swarm until a full pass moves no traffic.
-fn pump(swarms: &mut [Swarm<SharedSimNet>]) {
+fn pump(swarms: &mut [Swarm<ReactorNet>]) {
     let mut last = u64::MAX;
     loop {
         for s in swarms.iter_mut() {
@@ -41,12 +42,12 @@ fn pump(swarms: &mut [Swarm<SharedSimNet>]) {
 /// traffic counters.
 fn churn_run(seed: u64) -> Vec<u8> {
     let mut rng = SplitMix64(seed);
-    let fabric = SharedSimNet::new(NetConfig::default());
+    let fabric = ReactorNet::with_link(NetConfig::default());
     let code = CodeRegistry::new();
     let mut log = Vec::new();
 
     // The founder publishes the event type every routed publish uses.
-    let mut founder: Swarm<SharedSimNet> = Swarm::with_code_registry(fabric.clone(), code.clone());
+    let mut founder: Swarm<ReactorNet> = Swarm::with_code_registry(fabric.clone(), code.clone());
     let p1 = founder.add_peer_as(PeerId(1), ConformanceConfig::pragmatic());
     let event = samples::generate_population(7, 1, 1.0).remove(0);
     founder.publish(p1, event.assembly.clone()).unwrap();
@@ -61,7 +62,7 @@ fn churn_run(seed: u64) -> Vec<u8> {
             // Join: a fresh single-peer swarm subscribes, then joins
             // through the founder.
             0 => {
-                let mut s: Swarm<SharedSimNet> =
+                let mut s: Swarm<ReactorNet> =
                     Swarm::with_code_registry(fabric.clone(), code.clone());
                 let p = s.add_peer_as(PeerId(next_id), ConformanceConfig::pragmatic());
                 next_id += 1;
@@ -135,7 +136,7 @@ fn churn_run(seed: u64) -> Vec<u8> {
 /// Sweeps every swarm to quiescence *through* at-least-once retransmit
 /// deadlines: drain, then jump the shared virtual clock to the earliest
 /// armed deadline, until every reliable link is settled or shed.
-fn pump_durable(swarms: &mut [Swarm<SharedSimNet>]) {
+fn pump_durable(swarms: &mut [Swarm<ReactorNet>]) {
     loop {
         pump(swarms);
         let Some(deadline) = swarms
@@ -160,11 +161,11 @@ fn pump_durable(swarms: &mut [Swarm<SharedSimNet>]) {
 /// must be a pure function of the seed.
 fn faulty_churn_run(seed: u64) -> Vec<u8> {
     let mut rng = SplitMix64(seed);
-    let fabric = SharedSimNet::new(NetConfig::default());
+    let mut fabric = ReactorNet::with_link(NetConfig::default());
     let code = CodeRegistry::new();
     let mut log = Vec::new();
 
-    let mut founder: Swarm<SharedSimNet> = Swarm::with_code_registry(fabric.clone(), code.clone());
+    let mut founder: Swarm<ReactorNet> = Swarm::with_code_registry(fabric.clone(), code.clone());
     founder.set_qos(QoS::AtLeastOnce);
     founder.set_retransmit(2_000, 6);
     let p1 = founder.add_peer_as(PeerId(1), ConformanceConfig::pragmatic());
@@ -188,7 +189,7 @@ fn faulty_churn_run(seed: u64) -> Vec<u8> {
     for step in 0..24 {
         match rng.next_u64() % 3 {
             0 => {
-                let mut s: Swarm<SharedSimNet> =
+                let mut s: Swarm<ReactorNet> =
                     Swarm::with_code_registry(fabric.clone(), code.clone());
                 s.set_qos(QoS::AtLeastOnce);
                 s.set_retransmit(2_000, 6);

@@ -4,8 +4,8 @@
 //! Each thread owns a `Swarm<LiveBus>` — the exact state machine the
 //! virtual-time experiments run — wired to a clone of one bus handle and
 //! a shared [`CodeRegistry`]. No hand-built envelopes, no re-implemented
-//! description dance: the protocol code is identical to the SimNet
-//! path, only the fabric differs.
+//! description dance: the protocol code is identical to the
+//! virtual-time `ReactorNet` path, only the fabric differs.
 
 use std::thread;
 use std::time::{Duration, Instant};

@@ -1,10 +1,12 @@
-//! SimNet/LiveBus/ReactorNet parity: the generic `Swarm<T: Transport>`
-//! must make identical protocol decisions on every fabric.
+//! ReactorNet/LiveBus parity: the generic `Swarm<T: Transport>` must
+//! make identical protocol decisions on every fabric.
 //!
 //! The same publish/subscribe scenario — a publisher with a mixed
 //! population of conformant and non-conformant event types, a subscriber
-//! with one interest — runs over `Swarm<SimNet>`, `Swarm<LiveBus>` and
-//! `Swarm<ReactorNet>` *through the same generic function*, and every
+//! with one interest — runs over a linked `Swarm<ReactorNet>` (the
+//! default, with latency and bandwidth), `Swarm<LiveBus>`, a plain FIFO
+//! `Swarm<ReactorNet>` and two bridged shards *through the same generic
+//! function*, and every
 //! observable decision (accept/reject sequence, desc/asm request
 //! counts, per-kind message counts) must agree.
 
@@ -194,15 +196,15 @@ fn same_scenario_same_decisions_on_both_fabrics() {
 
     assert_eq!(
         sim, live,
-        "SimNet and LiveBus runs must agree on every decision"
+        "linked reactor and LiveBus runs must agree on every decision"
     );
     assert_eq!(
         sim, reactor,
-        "the reactor fabric must agree with SimNet on every decision"
+        "the FIFO reactor must agree with the linked one on every decision"
     );
     assert_eq!(
         sim, sharded,
-        "two bridged shards must agree with SimNet on every decision"
+        "two bridged shards must agree with the linked reactor on every decision"
     );
     // Sanity: the scenario actually exercised both paths.
     assert!(sim.accepted > 0, "some variants conform: {sim:?}");
@@ -321,7 +323,7 @@ fn routing_decisions_agree_on_both_fabrics_including_after_unsubscribe() {
 
     assert_eq!(
         sim, live,
-        "SimNet and LiveBus must make identical routing decisions"
+        "linked reactor and LiveBus must make identical routing decisions"
     );
     assert_eq!(
         sim, reactor,
@@ -349,7 +351,7 @@ fn routing_decisions_agree_on_both_fabrics_including_after_unsubscribe() {
 #[test]
 fn aliases_name_the_canonical_swarms() {
     // Type-level check: the aliases stay wired to the right fabrics.
-    let _sim: SimSwarm = Swarm::new(NetConfig::default());
+    let _linked: ReactorSwarm = Swarm::new(NetConfig::default());
     let _live: LiveSwarm = Swarm::over(LiveBus::new());
     let _reactor: ReactorSwarm = Swarm::over(ReactorNet::new());
 }

@@ -37,8 +37,9 @@ fn binary_envelopes_are_the_default_on_the_wire() {
     // Inspect the raw wire message before delivery: PTIE magic, no XML.
     let msg = swarm
         .net_mut()
-        .recv_kind(subs[0], "object")
+        .try_recv(subs[0])
         .expect("one routed envelope");
+    assert_eq!(msg.kind, "object");
     assert!(ObjectEnvelope::is_ptib(&msg.payload));
     swarm
         .dispatch(
@@ -151,8 +152,8 @@ fn one_publish_encodes_once_and_shares_across_the_fanout() {
 #[test]
 fn payload_fanout_is_refcounted_not_copied() {
     // Structural proof at the fabric level: the same Payload handed to
-    // N SimNet sends is shared by all inboxes.
-    let mut net = SimNet::new(NetConfig::default());
+    // N fabric sends is shared by all inboxes.
+    let mut net = ReactorNet::with_link(NetConfig::default());
     for p in 1..=9u32 {
         net.register(PeerId(p));
     }
@@ -163,7 +164,7 @@ fn payload_fanout_is_refcounted_not_copied() {
     }
     // 8 queued messages + our handle = 9 owners of ONE buffer.
     assert_eq!(payload.ref_count(), 9);
-    let first = net.recv(PeerId(2)).unwrap();
+    let first = net.try_recv(PeerId(2)).unwrap();
     assert_eq!(
         first.payload.as_slice().as_ptr(),
         payload.as_slice().as_ptr(),
