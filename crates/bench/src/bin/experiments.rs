@@ -40,6 +40,18 @@ struct Row {
     shape_holds: bool,
 }
 
+/// Median of `samples` (the mean of the middle two for an even count).
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    match sorted.len() {
+        0 => 0.0,
+        n if n % 2 == 1 => sorted[mid],
+        _ => (sorted[mid - 1] + sorted[mid]) / 2.0,
+    }
+}
+
 /// Minimal JSON string escaping (the rows carry free-form measurement
 /// text, including quotes and the occasional Greek letter).
 fn json_escape(s: &str) -> String {
@@ -976,7 +988,7 @@ fn r3_wirepath(report: &mut Report) -> (String, f64) {
 /// remove. Emits `BENCH_reactor.json`; CI fails if fewer than 1k members
 /// ran on one thread or events/s fall below 0.5x the R3 LiveBus
 /// baseline.
-fn r4_reactor(report: &mut Report, livebus_events_per_sec: f64) -> String {
+fn r4_reactor(report: &mut Report, livebus_events_per_sec: f64) -> (String, f64) {
     use samples::{topic_event_assembly, topic_event_def};
 
     let bench_start = Instant::now();
@@ -1092,7 +1104,7 @@ fn r4_reactor(report: &mut Report, livebus_events_per_sec: f64) -> String {
         baseline_ratio >= 0.5,
     );
 
-    format!(
+    let json = format!(
         "{{\n  \"members\": {MEMBERS},\n  \"swarms\": {},\n  \"threads\": 1,\n  \"topics\": \
          {TOPICS},\n  \"fanout\": {FANOUT},\n  \"events\": {EVENTS},\n  \"deliveries\": \
          {delivered},\n  \"setup_ms\": {setup_ms:.1},\n  \"events_per_sec\": \
@@ -1104,7 +1116,8 @@ fn r4_reactor(report: &mut Report, livebus_events_per_sec: f64) -> String {
         stats.sends,
         stats.recvs,
         bench_start.elapsed().as_secs_f64() * 1e3,
-    )
+    );
+    (json, setup_ms)
 }
 
 /// R5 — the sharded multi-reactor host: the R4 workload (1024 members,
@@ -1115,10 +1128,16 @@ fn r4_reactor(report: &mut Report, livebus_events_per_sec: f64) -> String {
 /// metric is the **critical path**: per-shard busy nanoseconds under the
 /// serialized two-phase barrier, with events/s computed against the
 /// slowest shard — the shard a real M-core host would wait on. The
-/// honest wall-clock time is reported alongside. Emits
+/// honest wall-clock time is reported alongside. Each member's mount
+/// plus its first `with_swarm` is timed: `mount_growth`, the median of
+/// the last decile of those timings over the median of the first, shows
+/// whether wiring stays linear as the directory fills (one host stall
+/// cannot move a decile median). Set-up is also reported against R4's
+/// single-host `setup_ms` (`setup_ratio_vs_r4`, not gated). Emits
 /// `BENCH_shards.json`; CI fails unless the 4-shard critical path beats
-/// the 1-shard run by >=1.5x and every run used one thread per shard.
-fn r5_shards(report: &mut Report) -> String {
+/// the 1-shard run by >=1.5x, every run used one thread per shard, and
+/// every run's `mount_growth` is at most 2.5.
+fn r5_shards(report: &mut Report, r4_setup_ms: f64) -> String {
     use samples::{topic_event_assembly, topic_event_def};
 
     let bench_start = Instant::now();
@@ -1138,6 +1157,8 @@ fn r5_shards(report: &mut Report) -> String {
         bridge_crossings: u64,
         crossing_ratio: f64,
         messages: u64,
+        mount_us_median: f64,
+        mount_growth: f64,
     }
 
     let run = |n: usize| -> ShardRun {
@@ -1161,8 +1182,10 @@ fn r5_shards(report: &mut Report) -> String {
             }
         });
         let setup_start = Instant::now();
+        let mut mount_us = Vec::with_capacity(MEMBERS);
         for i in 0..MEMBERS {
             let id = PeerId(2 + i as u32);
+            let mount_start = Instant::now();
             let slot = host.mount(id, mk(&code));
             host.with_swarm(slot, move |s| {
                 let p = s.add_peer_as(id, ConformanceConfig::pragmatic());
@@ -1172,9 +1195,13 @@ fn r5_shards(report: &mut Report) -> String {
                     TypeDescription::from_def(&topic_event_def(i % TOPICS, "sub")),
                 );
             });
+            mount_us.push(mount_start.elapsed().as_secs_f64() * 1e6);
         }
         host.run_until_quiescent().unwrap();
         let setup_ms = setup_start.elapsed().as_secs_f64() * 1e3;
+        let decile = MEMBERS / 10;
+        let mount_growth =
+            median(&mount_us[MEMBERS - decile..]) / median(&mount_us[..decile]).max(1e-9);
 
         // Warm the exchange, then zero the counters: the measured phase
         // is the steady-state publish + fan-out + barrier drain.
@@ -1229,6 +1256,8 @@ fn r5_shards(report: &mut Report) -> String {
             bridge_crossings: m.bridge_crossings,
             crossing_ratio: m.bridge_crossings as f64 / m.messages.max(1) as f64,
             messages: m.messages,
+            mount_us_median: median(&mount_us),
+            mount_growth,
         }
     };
 
@@ -1241,14 +1270,17 @@ fn r5_shards(report: &mut Report) -> String {
             "all events delivered",
             format!(
                 "{} deliveries; critical path {:.0} ms (Σ busy {:.0} ms, wall {:.0} ms); \
-                 {:.0} events/s; {} bridge crossings ({:.0}% of msgs)",
+                 {:.0} events/s; {} bridge crossings ({:.0}% of msgs); \
+                 mount {:.0} µs median, growth {:.2}x",
                 r.deliveries,
                 r.max_busy_ms,
                 r.total_busy_ms,
                 r.wall_ms,
                 r.events_per_sec,
                 r.bridge_crossings,
-                r.crossing_ratio * 100.0
+                r.crossing_ratio * 100.0,
+                r.mount_us_median,
+                r.mount_growth
             ),
             r.deliveries == (EVENTS * FANOUT) as u64
                 && (r.shards == 1) == (r.bridge_crossings == 0),
@@ -1271,7 +1303,8 @@ fn r5_shards(report: &mut Report) -> String {
             "    {{\"shards\": {}, \"threads\": {}, \"deliveries\": {}, \"setup_ms\": {:.1}, \
              \"wall_ms\": {:.1}, \"max_busy_ms\": {:.2}, \"total_busy_ms\": {:.2}, \
              \"events_per_sec\": {:.0}, \"bridge_crossings\": {}, \"crossing_ratio\": {:.3}, \
-             \"messages\": {}}}",
+             \"messages\": {}, \"mount_us_median\": {:.1}, \"mount_growth\": {:.2}, \
+             \"setup_ratio_vs_r4\": {:.2}}}",
             r.shards,
             r.shards,
             r.deliveries,
@@ -1283,6 +1316,9 @@ fn r5_shards(report: &mut Report) -> String {
             r.bridge_crossings,
             r.crossing_ratio,
             r.messages,
+            r.mount_us_median,
+            r.mount_growth,
+            r.setup_ms / r4_setup_ms.max(1e-9),
         )
     };
     format!(
@@ -1699,8 +1735,8 @@ fn main() {
     let routing_json = r1_routing(&mut report);
     let membership_json = r2_membership(&mut report);
     let (wirepath_json, livebus_eps) = r3_wirepath(&mut report);
-    let reactor_json = r4_reactor(&mut report, livebus_eps);
-    let shards_json = r5_shards(&mut report);
+    let (reactor_json, r4_setup_ms) = r4_reactor(&mut report, livebus_eps);
+    let shards_json = r5_shards(&mut report, r4_setup_ms);
     let durability_json = r6_durability(&mut report);
     a1_name_matchers(&mut report);
     a2_variance(&mut report);

@@ -65,5 +65,5 @@ pub use fault::{FaultDecision, FaultPlan, Partition};
 pub use frame::{kinds, Frame, FrameBatch, FrameDecodeError};
 pub use metrics::{KindMetrics, LinkBatchMetrics, NetMetrics};
 pub use payload::Payload;
-pub use reactor::{NetConfig, ReactorNet, ReactorStats, SessionId};
+pub use reactor::{NetConfig, ReactorNet, ReactorStats, Registration, SessionId};
 pub use transport::{NetError, PeerId, Transport};

@@ -114,6 +114,17 @@ impl std::fmt::Display for SessionId {
     }
 }
 
+/// One entry of a fabric's registration journal (see
+/// [`ReactorNet::take_registrations`]): whether a local endpoint
+/// appeared or went away.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Registration {
+    /// [`Transport::register`] created the peer's inbound ring.
+    Added,
+    /// [`ReactorNet::unregister`] tore the peer's ring down.
+    Removed,
+}
+
 /// Scheduling counters of a reactor — the event loop's own accounting,
 /// separate from the traffic counters in [`NetMetrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -234,6 +245,10 @@ struct Core {
     stats: ReactorStats,
     fault: Option<FaultPlan>,
     link: Option<Link>,
+    /// Local endpoint registrations and removals in program order, kept
+    /// only once a reader has asked for them (see
+    /// [`ReactorNet::take_registrations`]); `None` records nothing.
+    journal: Option<Vec<(PeerId, Registration)>>,
 }
 
 impl Core {
@@ -329,6 +344,7 @@ impl ReactorNet {
                 stats: ReactorStats::default(),
                 fault: None,
                 link: None,
+                journal: None,
             })),
             session: SessionId(0),
             #[cfg(debug_assertions)]
@@ -562,6 +578,9 @@ impl ReactorNet {
         if let Some(n) = core.backlog.get_mut(&owner) {
             *n = n.saturating_sub(dropped);
         }
+        if let Some(journal) = core.journal.as_mut() {
+            journal.push((peer, Registration::Removed));
+        }
         dropped
     }
 
@@ -575,14 +594,18 @@ impl ReactorNet {
         core.explicit.remove(&session);
     }
 
-    /// Every peer with a *local* ring on this fabric, sorted by id —
-    /// what a shard directory diffs after a mutation to learn which
-    /// peers appeared or vanished (proxies are not included).
-    pub fn registered_peers(&self) -> Vec<PeerId> {
-        let core = self.core.borrow();
-        let mut peers: Vec<PeerId> = core.owner.keys().copied().collect();
-        peers.sort_unstable();
-        peers
+    /// Drains the registration journal: every local endpoint
+    /// [`register`](Transport::register)ed or
+    /// [`unregister`](Self::unregister)ed since the last call, in
+    /// program order (proxies are not included). A shard directory
+    /// applies these deltas instead of rescanning the fabric.
+    ///
+    /// The journal has no reader until the first call, so a fabric that
+    /// is never asked records nothing; the first call starts it and
+    /// returns an empty list.
+    pub fn take_registrations(&self) -> Vec<(PeerId, Registration)> {
+        let mut core = self.core.borrow_mut();
+        std::mem::take(core.journal.get_or_insert_with(Vec::new))
     }
 }
 
@@ -609,6 +632,9 @@ impl Transport for ReactorNet {
         );
         core.owner.insert(peer, self.session);
         core.rings.insert(peer, VecDeque::new());
+        if let Some(journal) = core.journal.as_mut() {
+            journal.push((peer, Registration::Added));
+        }
     }
 
     fn send(
@@ -923,6 +949,33 @@ mod tests {
         // The surviving endpoint still delivers.
         assert_eq!(b.try_recv(PeerId(3)).unwrap().payload, vec![3]);
         assert_eq!(hub.unregister(PeerId(2)), 0, "double unregister no-op");
+    }
+
+    #[test]
+    fn registration_journal_records_from_its_first_reader_on() {
+        let hub = ReactorNet::new();
+        let mut a = hub.session();
+        a.register(PeerId(1));
+        assert!(hub.take_registrations().is_empty(), "nothing kept unasked");
+        a.register(PeerId(2));
+        a.register(PeerId(2)); // same session: a no-op, not journaled
+        hub.unregister(PeerId(1));
+        hub.unregister(PeerId(1)); // already gone: not journaled
+        a.register(PeerId(1));
+        assert_eq!(
+            hub.take_registrations(),
+            vec![
+                (PeerId(2), Registration::Added),
+                (PeerId(1), Registration::Removed),
+                (PeerId(1), Registration::Added),
+            ]
+        );
+        assert!(hub.take_registrations().is_empty(), "drained");
+        // Proxies are another shard's endpoints, not local ones.
+        let (tx, _rx) = crate::bridge::BridgeLink::pair();
+        hub.register_proxy(PeerId(9), tx);
+        hub.unregister_proxy(PeerId(9));
+        assert!(hub.take_registrations().is_empty());
     }
 
     #[test]

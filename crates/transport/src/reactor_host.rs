@@ -68,6 +68,11 @@ pub struct ReactorHost {
     /// Tombstoned slot table: [`unmount`](Self::unmount) leaves a `None`
     /// behind so every other slot index stays stable.
     slots: Vec<Option<Slot>>,
+    /// Session id → slot index, so a ready-queue wakeup finds its slot
+    /// in O(1). Session ids are dense (`ReactorNet::session` counts up),
+    /// so the index is a plain vector; unmounted or never-mounted
+    /// sessions read `None`.
+    slot_by_session: Vec<Option<usize>>,
     budget: usize,
     /// When tracing, every pump is recorded as `(slot, handled)`.
     trace: Option<Vec<(usize, usize)>>,
@@ -99,6 +104,7 @@ impl ReactorHost {
         ReactorHost {
             hub: ReactorNet::new(),
             slots: Vec::new(),
+            slot_by_session: Vec::new(),
             budget: DEFAULT_FAIRNESS_BUDGET,
             trace: None,
             injector: None,
@@ -139,11 +145,17 @@ impl ReactorHost {
         let session = self.hub.session();
         let id = session.session_id();
         let member = Box::new(build(session));
+        let slot = self.slots.len();
         self.slots.push(Some(Slot {
             session: id,
             member,
         }));
-        self.slots.len() - 1
+        let at = id.0 as usize;
+        if self.slot_by_session.len() <= at {
+            self.slot_by_session.resize(at + 1, None);
+        }
+        self.slot_by_session[at] = Some(slot);
+        slot
     }
 
     /// Unmounts the swarm at `slot`: unregisters every endpoint its
@@ -167,14 +179,19 @@ impl ReactorHost {
             dropped += self.hub.unregister(peer);
         }
         self.hub.release_session(taken.session);
+        self.slot_by_session[taken.session.0 as usize] = None;
         dropped
     }
 
     /// Attaches a cross-shard injector: a bridge receiver whose messages
     /// are drained into the fabric at the top of each run-loop turn.
-    /// The sharded host gives every shard one.
+    /// The sharded host gives every shard one. A host with an injector
+    /// is a shard, so this also starts the fabric's registration journal
+    /// ([`ReactorNet::take_registrations`]) that the shard directory
+    /// reads; a standalone host keeps no journal.
     pub fn set_injector(&mut self, rx: BridgeRx) {
         self.injector = Some(rx);
+        self.hub.take_registrations();
     }
 
     /// Drains the injector into the fabric's inbound rings, marking the
@@ -271,9 +288,10 @@ impl ReactorHost {
     }
 
     fn slot_of(&self, session: SessionId) -> Option<usize> {
-        self.slots
-            .iter()
-            .position(|s| s.as_ref().is_some_and(|s| s.session == session))
+        self.slot_by_session
+            .get(session.0 as usize)
+            .copied()
+            .flatten()
     }
 
     /// One scheduling turn: pump the slot's swarm with the fairness
@@ -421,5 +439,67 @@ mod tests {
         let got = host.with_swarm(b, |s| s.poll_message().unwrap());
         assert_eq!(got.map(|(at, m)| (at, m.from)), Some((pb, pa)));
         assert_eq!(hub.backlog(host.session_of(b)), 0);
+    }
+
+    #[test]
+    fn slot_of_tracks_mounts_and_unmounts() {
+        let mut host = ReactorHost::new();
+        let a = host.mount(Swarm::over);
+        let b = host.mount(Swarm::over);
+        let c = host.mount(Swarm::over);
+        let (sa, sb, sc) = (host.session_of(a), host.session_of(b), host.session_of(c));
+        host.unmount(b);
+        assert_eq!(host.slot_of(sa), Some(a));
+        assert_eq!(host.slot_of(sb), None, "unmounted");
+        assert_eq!(host.slot_of(sc), Some(c));
+        assert_eq!(host.slot_of(host.reactor().session_id()), None, "hub");
+        assert_eq!(host.slot_of(SessionId(1 << 20)), None, "never issued");
+        let d = host.mount(Swarm::over);
+        assert_eq!(host.slot_of(host.session_of(d)), Some(d));
+    }
+
+    #[test]
+    fn a_standalone_host_keeps_no_registration_journal() {
+        let mut host = ReactorHost::new();
+        let a = host.mount(Swarm::over);
+        let b = host.mount(Swarm::over);
+        host.with_swarm(a, |s| {
+            let p = s.add_peer_as(PeerId(1), pti_conformance::ConformanceConfig::pragmatic());
+            s.add_peer_as(PeerId(2), pti_conformance::ConformanceConfig::pragmatic());
+            s.net_mut().unregister(p);
+            s.remove_peer(p);
+        });
+        host.with_swarm(b, |s| {
+            s.add_peer_as(PeerId(3), pti_conformance::ConformanceConfig::pragmatic())
+        });
+        host.unmount(b);
+        assert!(host.reactor().take_registrations().is_empty());
+    }
+
+    #[test]
+    fn an_injector_starts_the_registration_journal() {
+        use pti_net::{BridgeLink, Registration};
+
+        let mut host = ReactorHost::new();
+        let a = host.mount(Swarm::over);
+        host.with_swarm(a, |s| {
+            s.add_peer_as(PeerId(1), pti_conformance::ConformanceConfig::pragmatic())
+        });
+        let (_tx, rx) = BridgeLink::pair();
+        host.set_injector(rx);
+        let b = host.mount(Swarm::over);
+        host.with_swarm(b, |s| {
+            s.add_peer_as(PeerId(2), pti_conformance::ConformanceConfig::pragmatic())
+        });
+        host.unmount(a);
+        assert_eq!(
+            host.reactor().take_registrations(),
+            vec![
+                (PeerId(2), Registration::Added),
+                (PeerId(1), Registration::Removed)
+            ],
+            "only changes after the injector, in program order"
+        );
+        assert!(host.reactor().take_registrations().is_empty(), "drained");
     }
 }

@@ -13,13 +13,18 @@
 //! its ring was registered on. [`mount`](ShardedHost::mount) pins a
 //! swarm by hashing the caller-chosen primary peer id;
 //! [`mount_pinned`](ShardedHost::mount_pinned) overrides the hash for
-//! placement experiments. After every mutating operation the control
-//! thread diffs the shard's registered peers against its directory and
-//! broadcasts the change: new peers become [`BridgeTx`] **proxies** on
-//! every other shard, vanished peers have their proxies revoked. A send
-//! to a remote peer therefore resolves locally (metrics recorded on the
-//! origin shard), crosses the owning shard's bridge, and wakes its
-//! thread — no shard ever blocks on another.
+//! placement experiments. A shard's fabric keeps a **registration
+//! journal** — every local endpoint added or removed, in program order —
+//! which the fabric records only because the shard's host has an
+//! injector (a standalone [`ReactorHost`] keeps none). Every member
+//! access (`mount`, `unmount`, `with_swarm`, `with_mounted`) runs the
+//! caller's closure and drains that journal in the same command, so it
+//! costs one round trip to the worker; the control thread then applies
+//! the deltas in journal order: a peer with a new owner becomes a
+//! [`BridgeTx`] **proxy** on every other shard, a removed peer has its
+//! proxies revoked. A send to a remote peer therefore resolves locally
+//! (metrics recorded on the origin shard), crosses the owning shard's
+//! bridge, and wakes its thread — no shard ever blocks on another.
 //!
 //! **Quiescence is a two-phase barrier.** One shard looking idle means
 //! nothing: a message can be in flight on a bridge between two shards
@@ -36,7 +41,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use pti_net::bridge::{BridgeRx, BridgeStats, BridgeTx};
-use pti_net::{BridgeLink, NetMetrics, PeerId, ReactorNet, ReactorStats, Transport};
+use pti_net::{BridgeLink, NetMetrics, PeerId, ReactorNet, ReactorStats, Registration, Transport};
 
 use crate::error::Result;
 use crate::reactor_host::{MountedSwarm, ReactorHost};
@@ -66,10 +71,11 @@ struct ShardHandle {
 /// host maps it to `(shard, local slot)` internally.
 pub struct ShardedHost {
     shards: Vec<ShardHandle>,
-    /// Which shard owns each registered peer id. Ordered so directory
-    /// reconciliation walks peers in id order — proxy registration and
-    /// revocation then hit every shard in the same deterministic
-    /// sequence on every run (`pti-lint`'s unordered-iter rule).
+    /// Which shard owns each registered peer id, kept current by the
+    /// shards' registration journals. Only point lookups touch it (proxy
+    /// broadcasts follow journal order, which is deterministic); it is
+    /// ordered anyway so no walk over it can depend on hash order
+    /// (`pti-lint`'s unordered-iter rule covers this file).
     directory: BTreeMap<PeerId, usize>,
     /// Global slot → (shard, local slot); tombstoned like the per-shard
     /// tables so indices survive unmounts.
@@ -245,36 +251,45 @@ impl ShardedHost {
         }
     }
 
-    /// Re-scans `shard`'s registered peers and reconciles the directory:
-    /// new peers are proxied onto every other shard, vanished peers have
-    /// their proxies revoked everywhere.
-    fn sync_directory(&mut self, shard: usize) {
-        let current = self.exec(shard, |host| host.reactor().registered_peers());
-        let known: Vec<PeerId> = self
-            .directory
-            .iter()
-            .filter(|(_, s)| **s == shard)
-            .map(|(p, _)| *p)
-            .collect();
-        for &peer in &current {
-            if self.directory.insert(peer, shard) != Some(shard) {
-                let bridge = self.shards[shard].bridge.clone();
-                for other in 0..self.shards.len() {
-                    if other != shard {
+    /// Runs `f` on `shard`'s worker like [`exec`](Self::exec), drains the
+    /// shard fabric's registration journal in the same command, and
+    /// applies it to the directory — one round trip per member access.
+    fn exec_journaled<R: Send + 'static>(
+        &mut self,
+        shard: usize,
+        f: impl FnOnce(&mut ReactorHost) -> R + Send + 'static,
+    ) -> R {
+        let (out, journal) = self.exec(shard, move |host| {
+            let out = f(host);
+            (out, host.reactor().take_registrations())
+        });
+        self.apply_registrations(shard, journal);
+        out
+    }
+
+    /// Applies `shard`'s registration deltas in journal order: a peer
+    /// with a new owner is proxied onto every other shard; a removal
+    /// whose directory entry still names `shard` revokes the peer's
+    /// proxies everywhere else.
+    fn apply_registrations(&mut self, shard: usize, journal: Vec<(PeerId, Registration)>) {
+        for (peer, change) in journal {
+            let owner = self.directory.get(&peer).copied();
+            match change {
+                Registration::Added if owner != Some(shard) => {
+                    self.directory.insert(peer, shard);
+                    let bridge = &self.shards[shard].bridge;
+                    for other in (0..self.shards.len()).filter(|&o| o != shard) {
                         let b = bridge.clone();
                         self.post(other, move |host| host.reactor().register_proxy(peer, b));
                     }
                 }
-            }
-        }
-        for peer in known {
-            if !current.contains(&peer) {
-                self.directory.remove(&peer);
-                for other in 0..self.shards.len() {
-                    if other != shard {
+                Registration::Removed if owner == Some(shard) => {
+                    self.directory.remove(&peer);
+                    for other in (0..self.shards.len()).filter(|&o| o != shard) {
                         self.post(other, move |host| host.reactor().unregister_proxy(peer));
                     }
                 }
+                _ => {}
             }
         }
     }
@@ -297,9 +312,8 @@ impl ShardedHost {
         shard: usize,
         build: impl FnOnce(ReactorNet) -> M + Send + 'static,
     ) -> usize {
-        let local = self.exec(shard, move |host| host.mount(build));
+        let local = self.exec_journaled(shard, move |host| host.mount(build));
         self.slots.push(Some((shard, local)));
-        self.sync_directory(shard);
         self.slots.len() - 1
     }
 
@@ -309,9 +323,7 @@ impl ShardedHost {
     pub fn unmount(&mut self, slot: usize) -> usize {
         // pti-allow(panic-policy): documented `# Panics` contract — slot handles are caller-owned
         let (shard, local) = self.slots[slot].take().expect("slot is already unmounted");
-        let dropped = self.exec(shard, move |host| host.unmount(local));
-        self.sync_directory(shard);
-        dropped
+        self.exec_journaled(shard, move |host| host.unmount(local))
     }
 
     /// The shard that owns global `slot`.
@@ -338,15 +350,13 @@ impl ShardedHost {
     ) -> R {
         // pti-allow(panic-policy): documented `# Panics` contract — slot handles are caller-owned
         let (shard, local) = self.slots[slot].expect("slot is unmounted");
-        let out = self.exec(shard, move |host| host.with_swarm(local, f));
-        self.sync_directory(shard);
-        out
+        self.exec_journaled(shard, move |host| host.with_swarm(local, f))
     }
 
     /// Runs `f` with the concretely-typed member at global `slot` on its
-    /// owning shard's thread (see [`ReactorHost::with_mounted`]), then
-    /// reconciles the proxy directory like
-    /// [`with_swarm`](Self::with_swarm).
+    /// owning shard's thread (see [`ReactorHost::with_mounted`]); peers
+    /// it adds or removes reach the directory like
+    /// [`with_swarm`](Self::with_swarm)'s.
     pub fn with_mounted<M: 'static, R: Send + 'static>(
         &mut self,
         slot: usize,
@@ -354,9 +364,7 @@ impl ShardedHost {
     ) -> R {
         // pti-allow(panic-policy): documented `# Panics` contract — slot handles are caller-owned
         let (shard, local) = self.slots[slot].expect("slot is unmounted");
-        let out = self.exec(shard, move |host| host.with_mounted::<M, R>(local, f));
-        self.sync_directory(shard);
-        out
+        self.exec_journaled(shard, move |host| host.with_mounted::<M, R>(local, f))
     }
 
     /// Drains every shard and every bridge: rounds of serialized
@@ -563,6 +571,110 @@ mod tests {
         assert_eq!(host.exec(1, |h| h.drain_injector()), 1);
         let got = host.with_swarm(b2, move |s| s.poll_message().unwrap());
         assert_eq!(got.map(|(_, m)| m.payload[0]), Some(2));
+    }
+
+    /// Two shards, autonomy off, one single-peer swarm on each: slot and
+    /// peer of shard 0's member, then shard 1's.
+    fn two_shard_pair() -> (ShardedHost, (usize, PeerId), (usize, PeerId)) {
+        let mut host = ShardedHost::new(2);
+        host.set_autonomous(false);
+        let a = host.mount_pinned(0, Swarm::over);
+        let b = host.mount_pinned(1, Swarm::over);
+        let pa = host.with_swarm(a, |s| {
+            s.add_peer_as(PeerId(1), ConformanceConfig::pragmatic())
+        });
+        let pb = host.with_swarm(b, |s| {
+            s.add_peer_as(PeerId(2), ConformanceConfig::pragmatic())
+        });
+        (host, (a, pa), (b, pb))
+    }
+
+    fn is_proxy_on(host: &ShardedHost, shard: usize, peer: PeerId) -> bool {
+        host.exec(shard, move |h| h.reactor().is_proxy(peer))
+    }
+
+    #[test]
+    fn a_peer_added_by_a_later_access_is_proxied_before_it_returns() {
+        let (mut host, (a, pa), (b, _)) = two_shard_pair();
+        let pc = host.with_swarm(b, |s| {
+            s.add_peer_as(PeerId(3), ConformanceConfig::pragmatic())
+        });
+        assert_eq!(host.owner_of(pc), Some(1));
+        assert!(is_proxy_on(&host, 0, pc), "proxied on the other shard");
+        assert!(!is_proxy_on(&host, 1, pc), "never a proxy at home");
+        host.with_swarm(a, move |s| {
+            s.net_mut()
+                .send(pa, pc, kinds::OBJECT, vec![3u8].into())
+                .unwrap();
+        });
+        assert_eq!(host.bridge_stats()[1].crossings, 1);
+    }
+
+    #[test]
+    fn a_peer_removed_inside_with_swarm_is_revoked_everywhere() {
+        let (mut host, (a, pa), (b, pb)) = two_shard_pair();
+        assert!(is_proxy_on(&host, 0, pb));
+        // The fabric registration goes first; `remove_peer` is how the
+        // swarm then drops the peer's protocol state.
+        let removed = host.with_swarm(b, move |s| {
+            s.net_mut().unregister(pb);
+            s.remove_peer(pb).is_some()
+        });
+        assert!(removed);
+        assert_eq!(host.owner_of(pb), None);
+        assert!(!is_proxy_on(&host, 0, pb));
+        let err = host.with_swarm(a, move |s| {
+            s.net_mut().send(pa, pb, kinds::OBJECT, vec![1u8].into())
+        });
+        assert!(err.is_err(), "no proxy, no local ring: unknown peer");
+    }
+
+    #[test]
+    fn a_peer_added_and_removed_in_one_closure_leaves_no_trace() {
+        let (mut host, (_, pa), (b, _)) = two_shard_pair();
+        let brief = host.with_swarm(b, |s| {
+            let p = s.add_peer_as(PeerId(5), ConformanceConfig::pragmatic());
+            s.net_mut().unregister(p);
+            s.remove_peer(p);
+            p
+        });
+        assert_eq!(host.owner_of(brief), None);
+        assert_eq!(host.owner_of(pa), Some(0), "other entries untouched");
+        assert!(!is_proxy_on(&host, 0, brief));
+        assert!(!is_proxy_on(&host, 1, brief));
+    }
+
+    #[test]
+    fn a_peer_remounted_on_another_shard_becomes_a_proxy_at_home() {
+        let (mut host, (a, pa), _) = two_shard_pair();
+        let c = host.mount_pinned(0, Swarm::over);
+        let pc = host.with_swarm(c, |s| {
+            s.add_peer_as(PeerId(3), ConformanceConfig::pragmatic())
+        });
+        assert_eq!(host.owner_of(pc), Some(0));
+        assert!(is_proxy_on(&host, 1, pc));
+        host.unmount(c);
+        assert_eq!(host.owner_of(pc), None);
+        // Same id, other shard: shard 1 must have dropped its proxy
+        // before the new ring registers, or the registration panics.
+        let c2 = host.mount_pinned(1, Swarm::over);
+        host.with_swarm(c2, move |s| {
+            s.add_peer_as(pc, ConformanceConfig::pragmatic());
+        });
+        assert_eq!(host.owner_of(pc), Some(1));
+        assert!(is_proxy_on(&host, 0, pc), "the old home now proxies it");
+        assert!(!is_proxy_on(&host, 1, pc));
+        host.with_swarm(a, move |s| {
+            s.net_mut()
+                .send(pa, pc, kinds::OBJECT, vec![7u8].into())
+                .unwrap();
+        });
+        assert_eq!(host.exec(1, |h| h.drain_injector()), 1);
+        let got = host.with_swarm(c2, move |s| s.poll_message().unwrap());
+        assert_eq!(
+            got.map(|(at, m)| (at, m.from, m.payload[0])),
+            Some((pc, pa, 7))
+        );
     }
 
     #[test]
