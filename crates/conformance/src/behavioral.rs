@@ -348,7 +348,7 @@ mod tests {
             )
             .expect("structurally conformant");
         let binding = conf.binding(&TypeDescription::from_def(&expected));
-        (rt, received, expected, binding)
+        (rt, received, expected, ConformanceBinding::clone(&binding))
     }
 
     #[test]

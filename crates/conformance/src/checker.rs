@@ -19,9 +19,9 @@
 //!   for structural subtyping — with a hard depth bound as a backstop.
 
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use pti_metamodel::{DescriptionProvider, Guid, MethodDesc, TypeDescription, TypeKind, TypeName};
-use std::sync::Mutex;
 
 use crate::binding::{ConformanceBinding, CtorBinding, FieldBinding, MethodBinding};
 use crate::config::{Ambiguity, ConformanceConfig, Unresolved, Variance};
@@ -43,8 +43,9 @@ pub enum Conformance {
     /// publishers (the paper's *equivalence*).
     Equivalent,
     /// `T'` implicitly structurally conforms to `T`; the binding carries
-    /// the member translation a proxy needs.
-    Structural(ConformanceBinding),
+    /// the member translation a proxy needs (shared: cloning a verdict
+    /// never copies it).
+    Structural(Arc<ConformanceBinding>),
     /// Assumed conformant by the coinductive hypothesis: this pair was
     /// already *being* checked further up the recursion (cyclic type
     /// references). Never returned from a top-level [`check`] call.
@@ -55,14 +56,38 @@ pub enum Conformance {
 
 impl Conformance {
     /// The member translation table for this conformance, given the
-    /// expected type. Identity for all non-structural cases.
-    pub fn binding(&self, expected: &TypeDescription) -> ConformanceBinding {
+    /// expected type. Identity for all non-structural cases (built fresh;
+    /// [`ConformanceChecker::check_shared`] hands out the cached one).
+    pub fn binding(&self, expected: &TypeDescription) -> Arc<ConformanceBinding> {
         match self {
-            Conformance::Structural(b) => b.clone(),
-            _ => ConformanceBinding::identity(expected),
+            Conformance::Structural(b) => Arc::clone(b),
+            _ => Arc::new(ConformanceBinding::identity(expected)),
         }
     }
 }
+
+/// A successful verdict together with the member translation a proxy
+/// needs. The binding is shared with the checker's cache, so every
+/// object of one `(received, expected)` pair reuses one table (and
+/// every equivalent or explicit pair with the same expected type reuses
+/// its identity table).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Verdict {
+    /// How conformance was established.
+    pub conformance: Conformance,
+    /// The translation table, identity for non-structural verdicts.
+    pub binding: Arc<ConformanceBinding>,
+}
+
+/// Memoized verdicts per `(received GUID, expected GUID)` pair (D5).
+///
+/// A structural verdict carries its binding. The identity binding that
+/// equivalent and explicit verdicts against `T` share is cached as the
+/// verdict of the pair `(T, T)`: a pair [`ConformanceChecker::check`]
+/// never looks up, since identical GUIDs short-circuit before the
+/// cache. So the cache holds one identity table per expected type, not
+/// one per received type.
+type VerdictCache = HashMap<(Guid, Guid), Result<Conformance, NonConformance>>;
 
 /// Cache hit/miss counters (ablation A3 reads these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -80,7 +105,7 @@ pub struct CacheStats {
 /// environment changes.
 pub struct ConformanceChecker {
     config: ConformanceConfig,
-    cache: Mutex<HashMap<(Guid, Guid), Result<Conformance, NonConformance>>>,
+    cache: Mutex<VerdictCache>,
     stats: Mutex<CacheStats>,
     caching: bool,
 }
@@ -97,18 +122,8 @@ impl std::fmt::Debug for ConformanceChecker {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConformanceChecker")
             .field("config", &self.config)
-            .field(
-                "cached_pairs",
-                &self
-                    .cache
-                    .lock()
-                    .expect("conformance cache lock poisoned")
-                    .len(),
-            )
-            .field(
-                "stats",
-                &*self.stats.lock().expect("conformance cache lock poisoned"),
-            )
+            .field("cached_pairs", &self.cache().len())
+            .field("stats", &*self.cache_stats())
             .finish()
     }
 }
@@ -146,16 +161,24 @@ impl ConformanceChecker {
 
     /// Cache hit/miss counters so far.
     pub fn stats(&self) -> CacheStats {
-        *self.stats.lock().expect("conformance cache lock poisoned")
+        *self.cache_stats()
     }
 
     /// Empties the verdict cache (use when the description environment
     /// changes, e.g. a new description for a previously unresolved name).
     pub fn clear_cache(&self) {
-        self.cache
-            .lock()
-            .expect("conformance cache lock poisoned")
-            .clear();
+        self.cache().clear();
+    }
+
+    // Both locks guard plain memo tables whose every write is a single
+    // insert or increment, so a panic elsewhere cannot leave them torn:
+    // a poisoned lock is recovered instead of propagated.
+    fn cache(&self) -> MutexGuard<'_, VerdictCache> {
+        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn cache_stats(&self) -> MutexGuard<'_, CacheStats> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Decides whether `source` (`T'`, the received type) implicitly
@@ -184,6 +207,49 @@ impl ConformanceChecker {
         self.check_descs(source, target, &mut state)
     }
 
+    /// [`check`](Self::check) plus the binding a proxy needs, with one
+    /// counted cache lookup. The binding is kept with the cached
+    /// verdicts, so repeated checks of a pair share one translation
+    /// table instead of rebuilding it per object.
+    ///
+    /// # Errors
+    /// [`NonConformance`] lists every violated aspect.
+    pub fn check_shared(
+        &self,
+        source: &TypeDescription,
+        target: &TypeDescription,
+        src_provider: &dyn DescriptionProvider,
+        tgt_provider: &dyn DescriptionProvider,
+    ) -> Result<Verdict, NonConformance> {
+        let conformance = self.check(source, target, src_provider, tgt_provider)?;
+        let binding = match &conformance {
+            Conformance::Structural(b) => Arc::clone(b),
+            _ => self.identity_binding(target),
+        };
+        Ok(Verdict {
+            conformance,
+            binding,
+        })
+    }
+
+    /// The identity binding of `target`, shared through the `(T, T)`
+    /// cache entry (see [`VerdictCache`]). An uncached checker, or a
+    /// target without a GUID, builds a fresh one.
+    fn identity_binding(&self, target: &TypeDescription) -> Arc<ConformanceBinding> {
+        let fresh = || Arc::new(ConformanceBinding::identity(target));
+        if !self.caching || target.guid.is_nil() {
+            return fresh();
+        }
+        let mut cache = self.cache();
+        let entry = cache
+            .entry((target.guid, target.guid))
+            .or_insert_with(|| Ok(Conformance::Structural(fresh())));
+        match entry {
+            Ok(Conformance::Structural(b)) => Arc::clone(b),
+            _ => fresh(),
+        }
+    }
+
     /// Boolean convenience over [`check`](Self::check).
     pub fn conforms(
         &self,
@@ -208,16 +274,8 @@ impl ConformanceChecker {
         }
         let key = (source.guid, target.guid);
         if self.caching {
-            if let Some(hit) = self
-                .cache
-                .lock()
-                .expect("conformance cache lock poisoned")
-                .get(&key)
-            {
-                self.stats
-                    .lock()
-                    .expect("conformance cache lock poisoned")
-                    .hits += 1;
+            if let Some(hit) = self.cache().get(&key) {
+                self.cache_stats().hits += 1;
                 return hit.clone();
             }
         }
@@ -238,19 +296,13 @@ impl ConformanceChecker {
         let result = self.check_uncached(source, target, state);
         state.depth -= 1;
         state.in_progress.pop();
-        self.stats
-            .lock()
-            .expect("conformance cache lock poisoned")
-            .misses += 1;
+        self.cache_stats().misses += 1;
         // Results derived under a coinductive assumption deeper in the
         // stack are still sound to cache: the assumption is discharged by
         // the time the outermost frame for the pair completes, and inner
         // frames only ran within that computation.
         if self.caching && !state.depth_exceeded {
-            self.cache
-                .lock()
-                .expect("conformance cache lock poisoned")
-                .insert(key, result.clone());
+            self.cache().insert(key, result.clone());
         }
         result
     }
@@ -304,11 +356,11 @@ impl ConformanceChecker {
         let constructors = self.bind_ctors(source, target, state, &mut reasons);
 
         if reasons.is_empty() {
-            Ok(Conformance::Structural(ConformanceBinding {
+            Ok(Conformance::Structural(Arc::new(ConformanceBinding {
                 methods,
                 fields,
                 constructors,
-            }))
+            })))
         } else {
             Err(NonConformance {
                 expected: target.name.clone(),

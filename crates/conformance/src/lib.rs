@@ -58,7 +58,7 @@ mod report;
 
 pub use behavioral::{BehavioralReport, BehavioralTester, MethodVerdict};
 pub use binding::{ConformanceBinding, CtorBinding, FieldBinding, MethodBinding};
-pub use checker::{CacheStats, Conformance, ConformanceChecker};
+pub use checker::{CacheStats, Conformance, ConformanceChecker, Verdict};
 pub use config::{Ambiguity, ConformanceConfig, Unresolved, Variance};
 pub use levenshtein::{levenshtein, levenshtein_ci};
 pub use matcher::{NameMatcher, SynonymTable};

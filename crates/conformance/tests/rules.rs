@@ -737,6 +737,57 @@ fn cache_hits_on_repeat_checks() {
 }
 
 #[test]
+fn shared_checks_reuse_the_cached_binding() {
+    // Structural: the binding built by the check itself is shared.
+    let (a, b) = person_pair();
+    let r = reg(&[&a, &b]);
+    let checker = ConformanceChecker::new(ConformanceConfig::pragmatic());
+    let first = checker.check_shared(&desc(&b), &desc(&a), &r, &r).unwrap();
+    let second = checker.check_shared(&desc(&b), &desc(&a), &r, &r).unwrap();
+    assert!(matches!(first.conformance, Conformance::Structural(_)));
+    assert!(std::sync::Arc::ptr_eq(&first.binding, &second.binding));
+    assert_eq!(
+        first.binding.method("getName", 0).unwrap().actual_name,
+        "getPersonName"
+    );
+    assert_eq!((checker.stats().misses, checker.stats().hits), (1, 1));
+
+    // Equivalent: the expected type's identity binding is built once,
+    // on the first shared check, and every equivalent vendor shares it.
+    let mk = |salt: &str| {
+        TypeDef::class("Person", salt)
+            .field("name", primitives::STRING)
+            .build()
+    };
+    let (x, y, z) = (mk("x"), mk("y"), mk("z"));
+    let r = reg(&[&x, &y, &z]);
+    let checker = ConformanceChecker::new(ConformanceConfig::pragmatic());
+    let first = checker.check_shared(&desc(&y), &desc(&x), &r, &r).unwrap();
+    let second = checker.check_shared(&desc(&y), &desc(&x), &r, &r).unwrap();
+    assert_eq!(first.conformance, Conformance::Equivalent);
+    assert!(first.binding.is_identity());
+    assert!(std::sync::Arc::ptr_eq(&first.binding, &second.binding));
+    assert_eq!(checker.stats().hits, 1, "one cache lookup per shared check");
+    let other_vendor = checker.check_shared(&desc(&z), &desc(&x), &r, &r).unwrap();
+    assert!(std::sync::Arc::ptr_eq(
+        &first.binding,
+        &other_vendor.binding
+    ));
+    // The shared identity table never stands in for a real verdict.
+    assert_eq!(
+        checker.check(&desc(&x), &desc(&x), &r, &r).unwrap(),
+        Conformance::Identical
+    );
+
+    // An uncached checker keeps nothing to share.
+    let uncached = ConformanceChecker::uncached(ConformanceConfig::pragmatic());
+    let first = uncached.check_shared(&desc(&y), &desc(&x), &r, &r).unwrap();
+    let second = uncached.check_shared(&desc(&y), &desc(&x), &r, &r).unwrap();
+    assert!(!std::sync::Arc::ptr_eq(&first.binding, &second.binding));
+    assert_eq!(first, second);
+}
+
+#[test]
 fn uncached_checker_never_hits() {
     let (a, b) = person_pair();
     let r = reg(&[&a, &b]);

@@ -11,6 +11,12 @@
 //! thread through a cross-thread wake handle (`std::thread::unpark`), so
 //! a parked shard notices inbound traffic without polling.
 //!
+//! Senders are stamped with the shard they send from
+//! ([`BridgeTx::from_shard`]), and every message crosses with that
+//! origin. The owning shard uses it as a *return route*: a reply to a
+//! peer whose proxy has not been announced yet still finds its way back
+//! (see `ReactorNet::inject`).
+//!
 //! The bridge keeps its own atomic counters — crossings, payload bytes,
 //! wake signals, drains — because cross-shard traffic is exactly what a
 //! placement experiment wants to measure, and because the *drain barrier*
@@ -52,6 +58,10 @@ pub struct BridgeStats {
     pub drained: u64,
 }
 
+/// What crosses a bridge: the origin shard of a stamped sender, and the
+/// message.
+type Crossing = (Option<usize>, BusMessage);
+
 /// Constructor namespace for bridge endpoint pairs.
 #[derive(Debug)]
 pub struct BridgeLink;
@@ -70,6 +80,7 @@ impl BridgeLink {
                 tx,
                 counters: Arc::clone(&counters),
                 waker: Arc::clone(&waker),
+                origin: None,
             },
             BridgeRx {
                 rx,
@@ -85,12 +96,23 @@ impl BridgeLink {
 /// only its channel and wake handle.
 #[derive(Debug, Clone)]
 pub struct BridgeTx {
-    tx: Sender<BusMessage>,
+    tx: Sender<Crossing>,
     counters: Arc<BridgeCounters>,
     waker: Arc<Mutex<Option<Thread>>>,
+    /// The shard this sender is installed on, if stamped.
+    origin: Option<usize>,
 }
 
 impl BridgeTx {
+    /// A clone of this sender whose messages cross tagged as sent from
+    /// shard `origin` — the form registered as a proxy on that shard.
+    pub fn from_shard(&self, origin: usize) -> BridgeTx {
+        BridgeTx {
+            origin: Some(origin),
+            ..self.clone()
+        }
+    }
+
     /// Enqueues one message for the owning shard and wakes its thread if
     /// one is bound. Returns whether a wake signal was sent.
     ///
@@ -101,7 +123,9 @@ impl BridgeTx {
     pub fn send(&self, msg: BusMessage) -> Result<bool, NetError> {
         let to = msg.to;
         let bytes = msg.payload.len() as u64;
-        self.tx.send(msg).map_err(|_| NetError::UnknownPeer(to))?;
+        self.tx
+            .send((self.origin, msg))
+            .map_err(|_| NetError::UnknownPeer(to))?;
         self.counters.crossings.fetch_add(1, Ordering::Relaxed);
         self.counters.bytes.fetch_add(bytes, Ordering::Relaxed);
         let woke = {
@@ -145,7 +169,7 @@ impl BridgeTx {
 /// into its reactor's inbound rings as an injector queue.
 #[derive(Debug)]
 pub struct BridgeRx {
-    rx: Receiver<BusMessage>,
+    rx: Receiver<Crossing>,
     counters: Arc<BridgeCounters>,
     waker: Arc<Mutex<Option<Thread>>>,
 }
@@ -159,12 +183,14 @@ impl BridgeRx {
         *self.waker.lock().expect("bridge waker lock") = Some(std::thread::current());
     }
 
-    /// Pops the next bridged message, if any. Never blocks.
-    pub fn try_drain(&self) -> Option<BusMessage> {
+    /// Pops the next bridged message, if any, with the origin shard of
+    /// the sender that enqueued it (`None` for an unstamped sender).
+    /// Never blocks.
+    pub fn try_drain(&self) -> Option<(Option<usize>, BusMessage)> {
         match self.rx.try_recv() {
-            Ok(msg) => {
+            Ok(crossing) => {
                 self.counters.drained.fetch_add(1, Ordering::Release);
-                Some(msg)
+                Some(crossing)
             }
             Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
         }
@@ -208,8 +234,8 @@ mod tests {
         assert!(!tx.send(msg(3)).unwrap(), "no thread bound, no wake");
         assert!(!tx.send(msg(5)).unwrap());
         assert_eq!(tx.pending(), 2);
-        assert_eq!(rx.try_drain().unwrap().payload.len(), 3);
-        assert_eq!(rx.try_drain().unwrap().payload.len(), 5);
+        assert_eq!(rx.try_drain().unwrap().1.payload.len(), 3);
+        assert_eq!(rx.try_drain().unwrap().1.payload.len(), 5);
         assert!(rx.try_drain().is_none());
         let stats = rx.stats();
         assert_eq!(stats.crossings, 2);
@@ -217,6 +243,22 @@ mod tests {
         assert_eq!(stats.drained, 2);
         assert_eq!(stats.wake_signals, 0);
         assert_eq!(tx.pending(), 0);
+    }
+
+    #[test]
+    fn stamped_senders_tag_their_crossings_with_the_origin_shard() {
+        let (tx, rx) = BridgeLink::pair();
+        tx.send(msg(1)).unwrap();
+        tx.from_shard(3).send(msg(2)).unwrap();
+        assert_eq!(
+            rx.try_drain().map(|(o, m)| (o, m.payload.len())),
+            Some((None, 1))
+        );
+        assert_eq!(
+            rx.try_drain().map(|(o, m)| (o, m.payload.len())),
+            Some((Some(3), 2))
+        );
+        assert_eq!(rx.stats().crossings, 2, "stamped clones share the counters");
     }
 
     #[test]
@@ -236,7 +278,7 @@ mod tests {
             // Park until the sender's wake arrives; unpark tokens are
             // sticky, so a send racing the park still gets through.
             loop {
-                if let Some(m) = rx.try_drain() {
+                if let Some((_, m)) = rx.try_drain() {
                     return m.payload.len();
                 }
                 std::thread::park();

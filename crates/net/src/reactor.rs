@@ -548,11 +548,24 @@ impl ReactorNet {
     /// but *without* re-recording traffic metrics: the origin shard
     /// already counted the send. Returns `false` when no local ring owns
     /// `msg.to` (the peer unmounted mid-flight; the message is dropped).
-    pub fn inject(&self, msg: BusMessage) -> bool {
+    ///
+    /// `return_route` is the bridge back to the message's origin shard.
+    /// A sender this fabric knows neither as local nor as a proxy gets
+    /// it installed as its proxy: a peer's first messages can cross
+    /// before the shard directory has announced the peer here, and a
+    /// reply sent in that window must not fail as an unknown peer. The
+    /// directory's own announcement later replaces it with the same
+    /// route.
+    pub fn inject(&self, msg: BusMessage, return_route: Option<&BridgeTx>) -> bool {
         let mut core = self.core.borrow_mut();
         let Some(owner) = core.owner.get(&msg.to).copied() else {
             return false;
         };
+        if let Some(route) = return_route {
+            if !core.owner.contains_key(&msg.from) && !core.proxies.contains_key(&msg.from) {
+                core.proxies.insert(msg.from, route.clone());
+            }
+        }
         let now = core.now_us;
         // pti-allow(unbounded-queue): inbound rings model the network; the delivery layer bounds senders via credit
         core.rings
@@ -900,8 +913,8 @@ mod tests {
 
         // Owning shard: inject delivers into the ring and marks the
         // session ready, without double-counting the traffic.
-        let msg = rx.try_drain().unwrap();
-        assert!(remote.inject(msg));
+        let (_, msg) = rx.try_drain().unwrap();
+        assert!(remote.inject(msg, None));
         assert_eq!(remote.backlog(r.session_id()), 1);
         assert_eq!(remote.next_ready(), Some(r.session_id()));
         assert_eq!(r.try_recv(PeerId(9)).unwrap().payload, vec![1, 2, 3]);
@@ -912,9 +925,41 @@ mod tests {
         o.send(PeerId(1), PeerId(9), "object", vec![4].into())
             .unwrap();
         assert_eq!(remote.unregister(PeerId(9)), 0);
-        assert!(!remote.inject(rx.try_drain().unwrap()));
+        assert!(!remote.inject(rx.try_drain().unwrap().1, None));
         remote.release_session(r.session_id());
         assert_eq!(remote.backlog(r.session_id()), 0);
+    }
+
+    #[test]
+    fn an_inject_from_an_unknown_sender_installs_its_return_route() {
+        use crate::bridge::BridgeLink;
+
+        let remote = ReactorNet::new();
+        let mut r = remote.session();
+        r.register(PeerId(9));
+        let (back, _back_rx) = BridgeLink::pair();
+        let msg = |from| BusMessage {
+            from,
+            to: PeerId(9),
+            kind: "k",
+            payload: vec![1].into(),
+        };
+        assert!(remote.inject(msg(PeerId(4)), None));
+        assert!(
+            !remote.is_proxy(PeerId(4)),
+            "no route given, none installed"
+        );
+        assert!(remote.inject(msg(PeerId(4)), Some(&back)));
+        assert!(
+            remote.is_proxy(PeerId(4)),
+            "the origin shard is the way back"
+        );
+        r.send(PeerId(9), PeerId(4), "k", vec![2].into()).unwrap();
+        assert!(remote.inject(msg(PeerId(9)), Some(&back)));
+        assert!(
+            !remote.is_proxy(PeerId(9)),
+            "a local peer never becomes a proxy"
+        );
     }
 
     #[test]

@@ -55,8 +55,9 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::sync::Arc;
 
-use pti_conformance::{Conformance, ConformanceBinding, ConformanceChecker, NonConformance};
+use pti_conformance::{ConformanceBinding, ConformanceChecker, NonConformance, Verdict};
 use pti_metamodel::{
     DescriptionProvider, MetamodelError, ObjHandle, Runtime, TypeDescription, Value,
 };
@@ -119,13 +120,16 @@ pub type Result<T> = std::result::Result<T, ProxyError>;
 /// A dynamic proxy exposing an expected type `T` over an object whose
 /// actual type `T'` merely conforms to `T`.
 ///
-/// The proxy owns the translation table; the object itself stays in the
-/// runtime's heap (the proxy is cheap to clone and pass around, like the
-/// transparent proxies .NET remoting hands out).
+/// The proxy shares the expected contract and the translation table
+/// (both behind `Arc`s: every proxy built from one cached verdict points
+/// at the same two allocations); the object itself stays in the
+/// runtime's heap. Cloning a proxy copies a handle and bumps two
+/// reference counts, so it is cheap to clone and pass around, like the
+/// transparent proxies .NET remoting hands out.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DynamicProxy {
-    expected: TypeDescription,
-    binding: ConformanceBinding,
+    expected: Arc<TypeDescription>,
+    binding: Arc<ConformanceBinding>,
     handle: ObjHandle,
 }
 
@@ -143,20 +147,25 @@ impl DynamicProxy {
         src_provider: &dyn DescriptionProvider,
         tgt_provider: &dyn DescriptionProvider,
     ) -> Result<DynamicProxy> {
-        let conf = checker.check(actual, expected, src_provider, tgt_provider)?;
-        Ok(Self::from_conformance(expected, &conf, handle))
+        let verdict = checker.check_shared(actual, expected, src_provider, tgt_provider)?;
+        Ok(Self::from_verdict(
+            Arc::new(expected.clone()),
+            &verdict,
+            handle,
+        ))
     }
 
-    /// Builds a proxy from an already-established conformance result
-    /// (e.g. one the transport protocol cached).
-    pub fn from_conformance(
-        expected: &TypeDescription,
-        conformance: &Conformance,
+    /// Builds a proxy from an already-established verdict (e.g. the one
+    /// the transport protocol matched an object's type with), sharing
+    /// its contract and binding instead of copying them.
+    pub fn from_verdict(
+        expected: Arc<TypeDescription>,
+        verdict: &Verdict,
         handle: ObjHandle,
     ) -> DynamicProxy {
         DynamicProxy {
-            expected: expected.clone(),
-            binding: conformance.binding(expected),
+            expected,
+            binding: Arc::clone(&verdict.binding),
             handle,
         }
     }
@@ -168,8 +177,8 @@ impl DynamicProxy {
         handle: ObjHandle,
     ) -> DynamicProxy {
         DynamicProxy {
-            expected: expected.clone(),
-            binding,
+            expected: Arc::new(expected.clone()),
+            binding: Arc::new(binding),
             handle,
         }
     }
@@ -406,6 +415,29 @@ mod tests {
         let checker = ConformanceChecker::new(ConformanceConfig::pragmatic());
         let p = DynamicProxy::try_new(&act, &act, h, &checker, &rt.registry, &rt.registry).unwrap();
         assert!(p.is_transparent());
+    }
+
+    #[test]
+    fn proxies_from_one_verdict_share_contract_and_binding() {
+        let (mut rt, exp, act, h) = setup();
+        let checker = ConformanceChecker::new(ConformanceConfig::pragmatic());
+        let verdict = checker
+            .check_shared(&act, &exp, &rt.registry, &rt.registry)
+            .unwrap();
+        let expected = Arc::new(exp);
+        let p = DynamicProxy::from_verdict(Arc::clone(&expected), &verdict, h);
+        let q = DynamicProxy::from_verdict(Arc::clone(&expected), &verdict, h);
+        assert!(std::ptr::eq(p.expected(), q.expected()));
+        assert!(std::ptr::eq(p.binding(), q.binding()));
+        let clone = p.clone();
+        assert!(
+            std::ptr::eq(clone.binding(), p.binding()),
+            "clones share too"
+        );
+        assert_eq!(
+            q.invoke(&mut rt, "getName", &[]).unwrap().as_str().unwrap(),
+            "ada"
+        );
     }
 
     #[test]

@@ -22,6 +22,7 @@
 #![warn(missing_docs)]
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pti_conformance::ConformanceBinding;
@@ -106,8 +107,8 @@ pub struct RemoteProxy {
     /// The wire reference.
     pub remote: RemoteRef,
     /// The expected (client-side) type the proxy exposes.
-    pub expected: TypeDescription,
-    binding: ConformanceBinding,
+    pub expected: Arc<TypeDescription>,
+    binding: Arc<ConformanceBinding>,
 }
 
 impl RemoteProxy {
@@ -442,12 +443,11 @@ impl RemotingFabric {
                 continue;
             };
             match peer.match_interest(&desc) {
-                Some((interest, conf)) => {
-                    let binding = conf.binding(&interest);
+                Some((interest, verdict)) => {
                     self.arrived.entry(at).or_default().push(RemoteProxy {
                         remote: rref,
                         expected: interest,
-                        binding,
+                        binding: verdict.binding,
                     });
                 }
                 None => {

@@ -525,7 +525,13 @@ impl<T: Transport> TypedPubSub<T> {
             // Already departed (a stale cloned handle): nothing to move.
             return Vec::new();
         }
-        let interests = g.swarm.peer(member).interests().to_vec();
+        let interests = g
+            .swarm
+            .peer(member)
+            .interests()
+            .iter()
+            .map(|d| TypeDescription::clone(d))
+            .collect();
         // Finished deliveries move to the mailbox *before* the peer's
         // protocol state is dropped, so subscriptions left at the old
         // home still drain what arrived before the move.

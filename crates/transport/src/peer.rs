@@ -1,8 +1,9 @@
 //! A protocol peer: runtime + interests + caches + pending exchanges.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
-use pti_conformance::{Conformance, ConformanceChecker, ConformanceConfig};
+use pti_conformance::{ConformanceChecker, ConformanceConfig, Verdict};
 use pti_metamodel::{
     Assembly, DescriptionProvider, Guid, Runtime, TypeDescription, TypeName, Value,
 };
@@ -95,8 +96,10 @@ pub(crate) struct PendingObject {
     pub awaiting_descs: HashSet<String>,
     /// `Some(paths)` once conformance passed: code paths still missing.
     pub awaiting_asms: Option<HashSet<String>>,
-    /// Interest matched by the conformance stage.
-    pub matched: Option<TypeDescription>,
+    /// Interest matched by the conformance stage, with its verdict: the
+    /// delivery's proxy is built from exactly this, however long the
+    /// code download takes.
+    pub matched: Option<(Arc<TypeDescription>, Verdict)>,
 }
 
 /// A protocol peer.
@@ -110,14 +113,15 @@ pub struct Peer {
     /// The local object runtime.
     pub runtime: Runtime,
     pub(crate) checker: ConformanceChecker,
-    interests: Vec<TypeDescription>,
+    /// Shared with every proxy a matched delivery hands out.
+    interests: Vec<Arc<TypeDescription>>,
     /// Downloaded descriptions by GUID (plus name index for provider use).
-    desc_cache: HashMap<Guid, TypeDescription>,
+    desc_cache: HashMap<Guid, Arc<TypeDescription>>,
     desc_by_name: HashMap<String, Vec<Guid>>,
     /// Everything this peer published, by description path and by code
-    /// path.
-    published_by_desc: HashMap<String, Published>,
-    published_by_asm: HashMap<String, Published>,
+    /// path (one shared record behind both).
+    published_by_desc: HashMap<String, Arc<Published>>,
+    published_by_asm: HashMap<String, Arc<Published>>,
     /// Provenance: which published assembly a local type came from.
     path_of_type: HashMap<Guid, String>,
     /// Code paths whose assemblies are installed locally.
@@ -183,7 +187,7 @@ impl Peer {
     ///
     /// # Errors
     /// Registry conflicts on installation.
-    pub fn publish(&mut self, assembly: Assembly) -> Result<Published> {
+    pub fn publish(&mut self, assembly: Assembly) -> Result<Arc<Published>> {
         assembly.install(&mut self.runtime)?;
         let desc_path = format!("pti://{}/desc/{}", self.id, assembly.name());
         let asm_path = format!("pti://{}/asm/{}", self.id, assembly.name());
@@ -197,25 +201,33 @@ impl Peer {
         }
         self.installed.insert(asm_path.clone());
         self.installed_hashes.insert(assembly.content_hash());
-        let published = Published {
+        let published = Arc::new(Published {
             assembly,
             descriptions,
             desc_path: desc_path.clone(),
             asm_path: asm_path.clone(),
-        };
-        self.published_by_desc.insert(desc_path, published.clone());
-        self.published_by_asm.insert(asm_path, published.clone());
+        });
+        self.published_by_desc
+            .insert(desc_path, Arc::clone(&published));
+        self.published_by_asm
+            .insert(asm_path, Arc::clone(&published));
         Ok(published)
+    }
+
+    /// The conformance checker, with its verdict cache and hit/miss
+    /// counters.
+    pub fn checker(&self) -> &ConformanceChecker {
+        &self.checker
     }
 
     /// Declares a type of interest: inbound objects are matched (by
     /// implicit structural conformance) against these.
     pub fn subscribe(&mut self, interest: TypeDescription) {
-        self.interests.push(interest);
+        self.interests.push(Arc::new(interest));
     }
 
     /// The declared interests.
-    pub fn interests(&self) -> &[TypeDescription] {
+    pub fn interests(&self) -> &[Arc<TypeDescription>] {
         &self.interests
     }
 
@@ -240,6 +252,49 @@ impl Peer {
             Delivery::Rejected { .. } => self.stats.rejected += 1,
         }
         self.deliveries.push(d);
+    }
+
+    /// Completes the pending exchange at `idx`: materializes its object
+    /// and records the delivery.
+    ///
+    /// # Errors
+    /// Any serializer error from [`materialize`](Self::materialize).
+    pub(crate) fn finalize(&mut self, idx: usize) -> Result<()> {
+        let p = self.pending.remove(idx);
+        let value = self.materialize(&p.envelope)?;
+        self.accept(p.from, value, p.matched);
+        Ok(())
+    }
+
+    /// Records an accepted object; a matched object is proxied through
+    /// the interest and verdict the conformance stage chose.
+    pub(crate) fn accept(
+        &mut self,
+        from: PeerId,
+        value: Value,
+        matched: Option<(Arc<TypeDescription>, Verdict)>,
+    ) {
+        let (interest, interest_guid, proxy) = match matched {
+            Some((interest, verdict)) => {
+                let proxy = match &value {
+                    Value::Obj(h) => Some(DynamicProxy::from_verdict(
+                        Arc::clone(&interest),
+                        &verdict,
+                        *h,
+                    )),
+                    _ => None,
+                };
+                (Some(interest.name.clone()), Some(interest.guid), proxy)
+            }
+            None => (None, None, None),
+        };
+        self.push_delivery(Delivery::Accepted {
+            from,
+            value,
+            interest,
+            interest_guid,
+            proxy,
+        });
     }
 
     /// Whether the code for a download path is installed.
@@ -267,12 +322,12 @@ impl Peer {
     /// The published record behind a description path, if this peer owns
     /// it.
     pub fn published_by_desc_path(&self, path: &str) -> Option<&Published> {
-        self.published_by_desc.get(path)
+        self.published_by_desc.get(path).map(Arc::as_ref)
     }
 
     /// The published record behind a code path, if this peer owns it.
     pub fn published_by_asm_path(&self, path: &str) -> Option<&Published> {
-        self.published_by_asm.get(path)
+        self.published_by_asm.get(path).map(Arc::as_ref)
     }
 
     /// Caches a downloaded type description.
@@ -281,7 +336,7 @@ impl Peer {
             .entry(desc.name.full().to_ascii_lowercase())
             .or_default()
             .push(desc.guid);
-        self.desc_cache.insert(desc.guid, desc);
+        self.desc_cache.insert(desc.guid, Arc::new(desc));
     }
 
     /// Whether a description for this GUID is available (downloaded or
@@ -290,13 +345,15 @@ impl Peer {
         self.desc_cache.contains_key(&guid) || self.runtime.registry.contains(guid)
     }
 
-    /// The description for a GUID, if known.
-    pub fn description_of(&self, guid: Guid) -> Option<TypeDescription> {
+    /// The description for a GUID, if known. Downloaded descriptions are
+    /// shared, not copied; a type known only from the local registry is
+    /// described afresh.
+    pub fn description_of(&self, guid: Guid) -> Option<Arc<TypeDescription>> {
         self.desc_cache.get(&guid).cloned().or_else(|| {
             self.runtime
                 .registry
                 .get(guid)
-                .map(|d| TypeDescription::from_def(&d))
+                .map(|d| Arc::new(TypeDescription::from_def(&d)))
         })
     }
 
@@ -307,21 +364,23 @@ impl Peer {
     }
 
     /// Runs the conformance stage for a root description: the first
-    /// interest it conforms to (in subscription order).
+    /// interest it conforms to (in subscription order), shared, with its
+    /// verdict and binding.
     pub fn match_interest(
         &mut self,
         root: &TypeDescription,
-    ) -> Option<(TypeDescription, Conformance)> {
-        // Collect into a vec first: the provider borrows `self`.
-        let interests = self.interests.clone();
-        for interest in interests {
-            self.stats.conformance_checks += 1;
-            let provider = PeerProvider { peer: self };
-            if let Ok(conf) = self.checker.check(root, &interest, &provider, &provider) {
-                return Some((interest, conf));
-            }
-        }
-        None
+    ) -> Option<(Arc<TypeDescription>, Verdict)> {
+        let mut checks = 0;
+        let provider = PeerProvider { peer: self };
+        let matched = self.interests.iter().find_map(|interest| {
+            checks += 1;
+            self.checker
+                .check_shared(root, interest, &provider, &provider)
+                .ok()
+                .map(|verdict| (Arc::clone(interest), verdict))
+        });
+        self.stats.conformance_checks += checks;
+        matched
     }
 
     /// Builds the Figure-3 envelope for a value rooted in this peer's
@@ -441,7 +500,7 @@ impl DescriptionProvider for PeerProvider<'_> {
             .get(&name.full().to_ascii_lowercase())
             .and_then(|guids| guids.first())
             .and_then(|g| self.peer.desc_cache.get(g))
-            .cloned()
+            .map(|d| TypeDescription::clone(d))
     }
 }
 

@@ -20,8 +20,8 @@
 //! zero cycles between events, which is what lets the R4 experiment
 //! drive 1k+ members through the interest router on a single thread.
 
-use pti_net::bridge::BridgeRx;
-use pti_net::{ReactorNet, SessionId};
+use pti_net::bridge::{BridgeRx, BridgeTx};
+use pti_net::{PeerId, ReactorNet, SessionId};
 
 use crate::error::Result;
 use crate::swarm::Swarm;
@@ -79,6 +79,10 @@ pub struct ReactorHost {
     /// Cross-shard injector: messages other shards bridged over, drained
     /// into the fabric at the top of each run-loop turn.
     injector: Option<BridgeRx>,
+    /// Bridges back to every shard, indexed by shard: the return route
+    /// [`drain_injector`](Self::drain_injector) hands the fabric for a
+    /// sender it has not been told about yet.
+    return_routes: Vec<BridgeTx>,
     /// Cumulative messages drained off the injector.
     injected: u64,
 }
@@ -108,6 +112,7 @@ impl ReactorHost {
             budget: DEFAULT_FAIRNESS_BUDGET,
             trace: None,
             injector: None,
+            return_routes: Vec::new(),
             injected: 0,
         }
     }
@@ -189,9 +194,24 @@ impl ReactorHost {
     /// is a shard, so this also starts the fabric's registration journal
     /// ([`ReactorNet::take_registrations`]) that the shard directory
     /// reads; a standalone host keeps no journal.
-    pub fn set_injector(&mut self, rx: BridgeRx) {
+    ///
+    /// `return_routes` are the bridges back to every shard, indexed by
+    /// shard and stamped with this shard as their origin: an injected
+    /// message from a peer this fabric does not know yet installs the
+    /// route back to its origin shard as the peer's proxy.
+    pub fn set_injector(&mut self, rx: BridgeRx, return_routes: Vec<BridgeTx>) {
         self.injector = Some(rx);
+        self.return_routes = return_routes;
         self.hub.take_registrations();
+    }
+
+    /// Revokes a remote peer's proxy. The injector is drained first: a
+    /// message the peer sent before it left may still be crossing, and
+    /// injected after the revocation it would install a return route
+    /// for a peer that is gone.
+    pub fn revoke_proxy(&mut self, peer: PeerId) {
+        self.drain_injector();
+        self.hub.unregister_proxy(peer);
     }
 
     /// Drains the injector into the fabric's inbound rings, marking the
@@ -204,8 +224,9 @@ impl ReactorHost {
             return 0;
         };
         let mut drained = 0;
-        while let Some(msg) = rx.try_drain() {
-            self.hub.inject(msg);
+        while let Some((origin, msg)) = rx.try_drain() {
+            let route = origin.and_then(|o| self.return_routes.get(o));
+            self.hub.inject(msg, route);
             drained += 1;
         }
         self.injected += drained as u64;
@@ -486,7 +507,7 @@ mod tests {
             s.add_peer_as(PeerId(1), pti_conformance::ConformanceConfig::pragmatic())
         });
         let (_tx, rx) = BridgeLink::pair();
-        host.set_injector(rx);
+        host.set_injector(rx, Vec::new());
         let b = host.mount(Swarm::over);
         host.with_swarm(b, |s| {
             s.add_peer_as(PeerId(2), pti_conformance::ConformanceConfig::pragmatic())

@@ -30,7 +30,9 @@
 //! nothing: a message can be in flight on a bridge between two shards
 //! that both report empty queues. [`run_until_quiescent`](ShardedHost::run_until_quiescent)
 //! repeats rounds of per-shard drains and only stops when a full round
-//! does zero work **and** every bridge reports `pending() == 0`.
+//! does zero work **and** every bridge reports `pending() == 0` — and,
+//! while workers pump autonomously between commands, when no shard's
+//! work counter moved since the previous round read it.
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -106,12 +108,13 @@ fn work_of(host: &ReactorHost) -> u64 {
 fn worker(
     cmds: Receiver<Cmd>,
     injector: BridgeRx,
+    return_routes: Vec<BridgeTx>,
     autonomous: Arc<AtomicBool>,
     busy_ns: Arc<AtomicU64>,
 ) {
     let mut host = ReactorHost::new();
     injector.bind_current_thread();
-    host.set_injector(injector);
+    host.set_injector(injector, return_routes);
     loop {
         match cmds.try_recv() {
             Ok(cmd) => {
@@ -149,16 +152,21 @@ impl ShardedHost {
     /// private reactor fabric plus the receive half of its bridge.
     pub fn new(shards: usize) -> ShardedHost {
         let autonomous = Arc::new(AtomicBool::new(true));
-        let shards = (0..shards.max(1))
-            .map(|i| {
+        let (bridges, injectors): (Vec<BridgeTx>, Vec<BridgeRx>) =
+            (0..shards.max(1)).map(|_| BridgeLink::pair()).unzip();
+        let shards = injectors
+            .into_iter()
+            .enumerate()
+            .map(|(i, bridge_rx)| {
                 let (cmd_tx, cmd_rx) = channel();
-                let (bridge_tx, bridge_rx) = BridgeLink::pair();
+                let bridge_tx = bridges[i].clone();
+                let routes = bridges.iter().map(|b| b.from_shard(i)).collect();
                 let busy_ns = Arc::new(AtomicU64::new(0));
                 let auto = Arc::clone(&autonomous);
                 let busy = Arc::clone(&busy_ns);
                 let join = std::thread::Builder::new()
                     .name(format!("pti-shard-{i}"))
-                    .spawn(move || worker(cmd_rx, bridge_rx, auto, busy))
+                    .spawn(move || worker(cmd_rx, bridge_rx, routes, auto, busy))
                     // pti-allow(panic-policy): thread spawn fails only on resource exhaustion at host construction, before any traffic
                     .expect("spawn shard thread");
                 ShardHandle {
@@ -271,6 +279,14 @@ impl ShardedHost {
     /// with a new owner is proxied onto every other shard; a removal
     /// whose directory entry still names `shard` revokes the peer's
     /// proxies everywhere else.
+    ///
+    /// The proxies land after the command that registered the peer has
+    /// returned, while the peer's first messages may already be crossing.
+    /// Those carry their origin shard, and the receiving fabric installs
+    /// the route back on arrival, so a reply never races this broadcast.
+    /// A revocation drains the receiving shard's bridge before removing
+    /// the proxy, so a message the peer sent before leaving cannot
+    /// re-install a route to it afterwards.
     fn apply_registrations(&mut self, shard: usize, journal: Vec<(PeerId, Registration)>) {
         for (peer, change) in journal {
             let owner = self.directory.get(&peer).copied();
@@ -279,14 +295,14 @@ impl ShardedHost {
                     self.directory.insert(peer, shard);
                     let bridge = &self.shards[shard].bridge;
                     for other in (0..self.shards.len()).filter(|&o| o != shard) {
-                        let b = bridge.clone();
+                        let b = bridge.from_shard(other);
                         self.post(other, move |host| host.reactor().register_proxy(peer, b));
                     }
                 }
                 Registration::Removed if owner == Some(shard) => {
                     self.directory.remove(&peer);
                     for other in (0..self.shards.len()).filter(|&o| o != shard) {
-                        self.post(other, move |host| host.reactor().unregister_proxy(peer));
+                        self.post(other, move |host| host.revoke_proxy(peer));
                     }
                 }
                 _ => {}
@@ -371,26 +387,42 @@ impl ShardedHost {
     /// per-shard `run_until_quiescent` commands, stopping only when a
     /// full round performs zero work **and** all bridges report zero
     /// pending — the two-phase barrier (a message in flight between two
-    /// idle-looking shards keeps the loop alive). Reading the bridge
-    /// counters between rounds is sound because the rounds themselves
-    /// serialize every worker.
+    /// idle-looking shards keeps the loop alive).
+    ///
+    /// Autonomous workers also work *between* the rounds' commands: a
+    /// shard can drain its bridge (so it reports zero pending) and be
+    /// mid-exchange while the round looks idle. With autonomy on, a
+    /// round is therefore conclusive only if no shard's monotone work
+    /// counter moved since the previous round last read it, so the
+    /// barrier always takes at least two rounds.
     ///
     /// # Errors
     /// The first protocol error any shard's swarm raises.
     pub fn run_until_quiescent(&mut self) -> Result<()> {
+        // Each shard's work counter as the previous round left it.
+        let mut last_seen: Option<Vec<u64>> = None;
         loop {
             let mut work = 0u64;
+            // Whether some shard worked outside this barrier's commands
+            // since the previous round (unknown, so assumed, in the first).
+            let mut moved_between = false;
+            let mut seen = Vec::with_capacity(self.shards.len());
             for shard in 0..self.shards.len() {
-                work += self.exec(shard, |host| -> Result<u64> {
+                let (before, after) = self.exec(shard, |host| -> Result<(u64, u64)> {
                     let before = work_of(host);
                     host.run_until_quiescent()?;
-                    Ok(work_of(host) - before)
+                    Ok((before, work_of(host)))
                 })?;
+                work += after - before;
+                moved_between |= last_seen.as_ref().is_none_or(|prev| prev[shard] != before);
+                seen.push(after);
             }
             let in_flight: u64 = self.shards.iter().map(|s| s.bridge.pending()).sum();
-            if work == 0 && in_flight == 0 {
+            let unobserved = moved_between && self.autonomous.load(Ordering::Relaxed);
+            if work == 0 && in_flight == 0 && !unobserved {
                 return Ok(());
             }
+            last_seen = Some(seen);
         }
     }
 
@@ -675,6 +707,63 @@ mod tests {
             got.map(|(at, m)| (at, m.from, m.payload[0])),
             Some((pc, pa, 7))
         );
+    }
+
+    #[test]
+    fn a_reply_to_a_peer_not_yet_announced_rides_the_return_route() {
+        let (host, (_, pa), _) = two_shard_pair();
+        // Peer 3 registers on shard 1 and sends at once, in a command
+        // that does not drain the journal: its message crosses before
+        // the directory has proxied it on shard 0.
+        host.exec(1, move |h| {
+            let mut hub = h.reactor();
+            hub.register(PeerId(3));
+            hub.send(PeerId(3), pa, kinds::OBJECT, vec![1u8].into())
+                .unwrap();
+        });
+        assert!(!is_proxy_on(&host, 0, PeerId(3)));
+        assert_eq!(host.exec(0, |h| h.drain_injector()), 1);
+        assert!(
+            is_proxy_on(&host, 0, PeerId(3)),
+            "arrival installed the route back"
+        );
+        host.exec(0, move |h| {
+            h.reactor()
+                .session()
+                .send(pa, PeerId(3), kinds::OBJECT, vec![2u8].into())
+                .unwrap();
+        });
+        assert_eq!(host.exec(1, |h| h.drain_injector()), 1);
+        let got = host.exec(1, |h| h.reactor().try_recv(PeerId(3)));
+        assert_eq!(got.map(|m| (m.from, m.payload[0])), Some((pa, 2)));
+    }
+
+    #[test]
+    fn a_revocation_outlasts_the_peers_last_crossing() {
+        let (mut host, (_, pa), (b, pb)) = two_shard_pair();
+        // `pb` sends, then leaves, in one command; its message is still
+        // on shard 0's bridge when the revocation is posted.
+        host.with_swarm(b, move |s| {
+            s.net_mut()
+                .send(pb, pa, kinds::OBJECT, vec![1u8].into())
+                .unwrap();
+            s.net_mut().unregister(pb);
+            s.remove_peer(pb);
+        });
+        // Draining it only after the revocation would install a route
+        // back to a peer that is gone; the revocation drained it first.
+        assert_eq!(host.exec(0, |h| h.drain_injector()), 0);
+        assert_eq!(host.bridge_stats()[0].drained, 1);
+        assert!(
+            !is_proxy_on(&host, 0, pb),
+            "no stale route back to a departed peer"
+        );
+        // The id is free on shard 0: a stale proxy would make this panic.
+        let c = host.mount_pinned(0, Swarm::over);
+        host.with_swarm(c, move |s| {
+            s.add_peer_as(pb, ConformanceConfig::pragmatic());
+        });
+        assert_eq!(host.owner_of(pb), Some(0));
     }
 
     #[test]

@@ -34,7 +34,6 @@ use pti_metamodel::{Assembly, Guid, TypeDescription, Value};
 use pti_net::{
     BusMessage, FrameBatch, LiveBus, NetConfig, NetError, Payload, PeerId, ReactorNet, Transport,
 };
-use pti_proxy::DynamicProxy;
 use pti_serialize::{
     description_from_xml, description_to_xml, EnvelopeWireFormat, ObjectEnvelope, PayloadFormat,
 };
@@ -1466,67 +1465,49 @@ impl<T: Transport> Swarm<T> {
         self.advance(at, seq)
     }
 
-    /// Index of a pending exchange by its sequence number (pendings move
-    /// as others complete, so stable seqs are the only safe key).
-    fn pending_idx(&self, at: PeerId, seq: u64) -> Option<usize> {
-        self.peers
-            .get(&at)?
-            .pending
-            .iter()
-            .position(|p| p.seq == seq)
-    }
-
     /// Pushes one pending exchange as far as it can go without more
     /// network input; issues requests when blocked.
     fn advance(&mut self, at: PeerId, seq: u64) -> Result<()> {
-        let Some(idx) = self.pending_idx(at, seq) else {
+        let peer = self
+            .peers
+            .get_mut(&at)
+            .ok_or(TransportError::UnknownPeer(at))?;
+        let Some(idx) = peer.pending.iter().position(|p| p.seq == seq) else {
             return Ok(());
         };
-        // Stage 1: root type description (steps 2-3 of Figure 1).
-        let (root_known, from, desc_paths): (bool, PeerId, Vec<(String, String)>) = {
-            let peer = self
-                .peers
-                .get_mut(&at)
-                .ok_or(TransportError::UnknownPeer(at))?;
-            let p = &peer.pending[idx];
-            let root_known =
-                p.envelope.type_guid.is_nil() || peer.knows_description(p.envelope.type_guid);
-            let paths = p
-                .envelope
-                .assemblies
-                .iter()
-                .map(|a| (a.description_path.clone(), a.assembly_path.clone()))
-                .collect();
-            (root_known, p.from, paths)
-        };
+        let from = peer.pending[idx].from;
+        let guid = peer.pending[idx].envelope.type_guid;
 
-        if !root_known {
+        // Stage 1: root type description (steps 2-3 of Figure 1).
+        if !guid.is_nil() && !peer.knows_description(guid) {
             // Request every listed description not yet requested. A path
             // whose response was already consumed (by an earlier
             // exchange) will never be answered again, so it must not be
             // awaited — only in-flight or fresh requests can unblock us.
+            let Peer {
+                pending,
+                received_descs,
+                requested_descs,
+                stats,
+                ..
+            } = peer;
+            let p = &mut pending[idx];
             let mut to_request = Vec::new();
-            let all_answered = {
-                // pti-allow(panic-policy): `at` owns the pending exchange being advanced, so the peer entry exists
-                let peer = self.peers.get_mut(&at).expect("checked");
-                for (desc_path, _) in &desc_paths {
-                    if peer.received_descs.contains(desc_path) {
-                        continue;
-                    }
-                    if peer.requested_descs.insert(desc_path.clone()) {
-                        to_request.push(desc_path.clone());
-                        peer.stats.desc_requests += 1;
-                    }
-                    peer.pending[idx].awaiting_descs.insert(desc_path.clone());
+            for aref in &p.envelope.assemblies {
+                let desc_path = &aref.description_path;
+                if received_descs.contains(desc_path) {
+                    continue;
                 }
-                peer.pending[idx].awaiting_descs.is_empty()
-            };
-            if all_answered {
+                if requested_descs.insert(desc_path.clone()) {
+                    to_request.push(desc_path.clone());
+                    stats.desc_requests += 1;
+                }
+                p.awaiting_descs.insert(desc_path.clone());
+            }
+            if p.awaiting_descs.is_empty() {
                 // Every listed description arrived earlier and still does
                 // not cover the root type: the envelope is unservable.
-                // pti-allow(panic-policy): `at` owns the pending exchange being advanced, so the peer entry exists
-                let peer = self.peers.get_mut(&at).expect("checked");
-                let p = peer.pending.remove(idx);
+                let p = pending.remove(idx);
                 return Err(TransportError::Protocol(format!(
                     "no listed assembly describes root type `{}`",
                     p.envelope.type_name
@@ -1543,124 +1524,72 @@ impl<T: Transport> Swarm<T> {
             return Ok(());
         }
 
-        // Stage 2: conformance check against interests (step 3).
-        let matched_needed = {
-            // pti-allow(panic-policy): `at` owns the pending exchange being advanced, so the peer entry exists
-            let peer = self.peers.get(&at).expect("checked");
-            peer.pending[idx].matched.is_none()
-        };
-        if matched_needed {
-            // pti-allow(panic-policy): `at` owns the pending exchange being advanced, so the peer entry exists
-            let peer = self.peers.get_mut(&at).expect("checked");
-            let guid = peer.pending[idx].envelope.type_guid;
-            if guid.is_nil() {
-                // Primitive payloads skip conformance.
-            } else {
-                let root_desc = peer
-                    .description_of(guid)
-                    .ok_or_else(|| TransportError::Protocol("description vanished".into()))?;
-                // Already-installed types are accepted directly (we have
-                // their code; the value is exactly representable).
-                let all_installed = peer.pending[idx]
-                    .envelope
-                    .assemblies
-                    .iter()
-                    .all(|a| peer.has_assembly(a));
-                match peer.match_interest(&root_desc) {
-                    Some((interest, _conf)) => {
-                        peer.pending[idx].matched = Some(interest);
-                    }
-                    None if all_installed => {
-                        // Known type, no interest: direct acceptance.
-                    }
-                    None => {
-                        // Step 3 failed: reject, never download code.
-                        let p = peer.pending.remove(idx);
-                        let type_name = p.envelope.type_name.clone();
-                        peer.push_delivery(Delivery::Rejected {
-                            from: p.from,
-                            type_name,
-                        });
-                        return Ok(());
-                    }
+        // Stage 2: conformance check against interests (step 3). Primitive
+        // payloads skip it; the verdict rides the pending exchange into
+        // `finalize`, so it is decided exactly once per object.
+        if !guid.is_nil() && peer.pending[idx].matched.is_none() {
+            let root_desc = peer
+                .description_of(guid)
+                .ok_or_else(|| TransportError::Protocol("description vanished".into()))?;
+            // Already-installed types are accepted directly (we have
+            // their code; the value is exactly representable).
+            let all_installed = peer.pending[idx]
+                .envelope
+                .assemblies
+                .iter()
+                .all(|a| peer.has_assembly(a));
+            match peer.match_interest(&root_desc) {
+                Some(matched) => peer.pending[idx].matched = Some(matched),
+                None if all_installed => {
+                    // Known type, no interest: direct acceptance.
+                }
+                None => {
+                    // Step 3 failed: reject, never download code.
+                    let p = peer.pending.remove(idx);
+                    peer.push_delivery(Delivery::Rejected {
+                        from: p.from,
+                        type_name: p.envelope.type_name,
+                    });
+                    return Ok(());
                 }
             }
         }
 
         // Stage 3: code download (steps 4-5).
-        let missing: Vec<String> = {
-            // pti-allow(panic-policy): `at` owns the pending exchange being advanced, so the peer entry exists
-            let peer = self.peers.get(&at).expect("checked");
-            let p = &peer.pending[idx];
-            p.envelope
-                .assemblies
-                .iter()
-                .filter(|a| !peer.has_assembly(a))
-                .map(|a| a.assembly_path.clone())
-                .collect()
-        };
-        if !missing.is_empty() {
-            let mut to_request = Vec::new();
-            {
-                // pti-allow(panic-policy): `at` owns the pending exchange being advanced, so the peer entry exists
-                let peer = self.peers.get_mut(&at).expect("checked");
-                let p = &mut peer.pending[idx];
-                if p.awaiting_asms.is_some() {
-                    return Ok(()); // this exchange already registered its waits
-                }
-                p.awaiting_asms = Some(missing.iter().cloned().collect());
-                for path in &missing {
-                    // One fetch per path peer-wide; concurrent exchanges
-                    // for the same type share the in-flight download.
-                    if peer.requested_asms.insert(path.clone()) {
-                        to_request.push(path.clone());
-                        peer.stats.asm_requests += 1;
-                    }
-                }
-            }
-            for path in to_request {
-                self.queue_frame(at, from, kinds::ASM_REQUEST, path.into_bytes());
-            }
-            return Ok(());
+        let missing: Vec<String> = peer.pending[idx]
+            .envelope
+            .assemblies
+            .iter()
+            .filter(|a| !peer.has_assembly(a))
+            .map(|a| a.assembly_path.clone())
+            .collect();
+        if missing.is_empty() {
+            // Stage 4: everything present — materialize and deliver.
+            return peer.finalize(idx);
         }
-
-        // Stage 4: everything present — materialize and deliver.
-        self.finalize(at, seq)
-    }
-
-    fn finalize(&mut self, at: PeerId, seq: u64) -> Result<()> {
-        let Some(idx) = self.pending_idx(at, seq) else {
-            return Ok(());
-        };
-        let peer = self
-            .peers
-            .get_mut(&at)
-            .ok_or(TransportError::UnknownPeer(at))?;
-        let p = peer.pending.remove(idx);
-        let value = peer.materialize(&p.envelope)?;
-        let proxy = match (&p.matched, &value) {
-            (Some(interest), Value::Obj(h)) => {
-                let root_desc = peer
-                    .description_of(p.envelope.type_guid)
-                    .ok_or_else(|| TransportError::Protocol("description vanished".into()))?;
-                let provider = peer.provider();
-                let conf = peer
-                    .checker
-                    .check(&root_desc, interest, &provider, &provider)
-                    .map_err(|nc| TransportError::Protocol(format!("conformance lost: {nc}")))?;
-                Some(DynamicProxy::from_conformance(interest, &conf, *h))
+        let Peer {
+            pending,
+            requested_asms,
+            stats,
+            ..
+        } = peer;
+        let p = &mut pending[idx];
+        if p.awaiting_asms.is_some() {
+            return Ok(()); // this exchange already registered its waits
+        }
+        let mut to_request = Vec::new();
+        for path in &missing {
+            // One fetch per path peer-wide; concurrent exchanges for the
+            // same type share the in-flight download.
+            if requested_asms.insert(path.clone()) {
+                to_request.push(path.clone());
+                stats.asm_requests += 1;
             }
-            _ => None,
-        };
-        let interest = p.matched.as_ref().map(|d| d.name.clone());
-        let interest_guid = p.matched.as_ref().map(|d| d.guid);
-        peer.push_delivery(Delivery::Accepted {
-            from: p.from,
-            value,
-            interest,
-            interest_guid,
-            proxy,
-        });
+        }
+        p.awaiting_asms = Some(missing.into_iter().collect());
+        for path in to_request {
+            self.queue_frame(at, from, kinds::ASM_REQUEST, path.into_bytes());
+        }
         Ok(())
     }
 
@@ -1766,7 +1695,9 @@ impl<T: Transport> Swarm<T> {
         }
         ready.sort_unstable();
         for seq in ready {
-            self.finalize(at, seq)?;
+            if let Some(idx) = peer.pending.iter().position(|p| p.seq == seq) {
+                peer.finalize(idx)?;
+            }
         }
         Ok(())
     }
@@ -1816,21 +1747,7 @@ impl<T: Transport> Swarm<T> {
                 .ok_or_else(|| TransportError::Protocol("description missing".into()))?;
             peer.match_interest(&desc)
         };
-        let proxy = match (&matched, &value) {
-            (Some((interest, conf)), Value::Obj(h)) => {
-                Some(DynamicProxy::from_conformance(interest, conf, *h))
-            }
-            _ => None,
-        };
-        let interest_guid = matched.as_ref().map(|(d, _)| d.guid);
-        let interest = matched.map(|(d, _)| d.name.clone());
-        peer.push_delivery(Delivery::Accepted {
-            from: msg.from,
-            value,
-            interest,
-            interest_guid,
-            proxy,
-        });
+        peer.accept(msg.from, value, matched);
         Ok(())
     }
 }

@@ -762,3 +762,82 @@ fn unroutable_interest_names_stay_local_and_benign() {
     listener.run_for(Duration::from_millis(20)).unwrap();
     assert!(listener.routes().is_empty());
 }
+
+/// The stage-2 verdict rides the pending exchange: an object still
+/// waiting on its code download when the subscriber withdraws the
+/// interest is delivered with the interest and proxy it was matched to,
+/// while a non-conforming decoy sent alongside never asks for code.
+#[test]
+fn a_waiting_exchange_keeps_its_stage_two_verdict() {
+    let Fixture {
+        mut swarm,
+        alice,
+        bob,
+    } = fixture();
+    let (alien_asm, _) = alien_assembly();
+    swarm.publish(alice, alien_asm).unwrap();
+    let person = make_person(&mut swarm, alice, "ada");
+    let ship = {
+        let rt = &mut swarm.peer_mut(alice).runtime;
+        Value::Obj(rt.instantiate(&"Spaceship".into(), &[]).unwrap())
+    };
+    // The decoy goes first, so it is checked against the interest
+    // before the interest is withdrawn.
+    swarm
+        .send_object(alice, bob, &ship, PayloadFormat::Binary)
+        .unwrap();
+    swarm
+        .send_object(alice, bob, &person, PayloadFormat::Binary)
+        .unwrap();
+    let interest = swarm.peer(bob).interests()[0].guid;
+
+    // Step message by message; withdraw the interest as soon as Bob has
+    // asked for the code, i.e. before the ASM_RESPONSE arrives.
+    let mut withdrawn = false;
+    while let Some((at, msg)) = swarm.poll_message().unwrap() {
+        swarm.dispatch(at, msg).unwrap();
+        if !withdrawn && swarm.peer(bob).stats.asm_requests > 0 {
+            let stats = swarm.peer(bob).stats;
+            assert_eq!(stats.accepted, 0, "still waiting on code");
+            assert_eq!(stats.rejected, 1, "the decoy failed its check first");
+            assert!(swarm.peer_mut(bob).unsubscribe(interest));
+            withdrawn = true;
+        }
+    }
+    assert!(withdrawn, "the person's code was requested");
+    assert!(swarm.peer(bob).interests().is_empty());
+
+    let ds = swarm.peer_mut(bob).take_deliveries();
+    assert_eq!(ds.len(), 2, "{ds:?}");
+    let accepted: Vec<_> = ds.iter().filter(|d| d.is_accepted()).collect();
+    assert_eq!(accepted.len(), 1);
+    let Delivery::Accepted {
+        interest: name,
+        interest_guid,
+        proxy,
+        ..
+    } = accepted[0]
+    else {
+        unreachable!()
+    };
+    assert_eq!(name.as_ref().map(|n| n.full()), Some("Person"));
+    assert_eq!(*interest_guid, Some(interest));
+    let proxy = proxy.as_ref().expect("matched object comes proxied");
+    assert_eq!(proxy.expected().guid, interest);
+    let got = proxy
+        .invoke(&mut swarm.peer_mut(bob).runtime, "getPersonName", &[])
+        .unwrap();
+    assert_eq!(got.as_str().unwrap(), "ada");
+    assert!(ds.iter().any(
+        |d| matches!(d, Delivery::Rejected { type_name, .. } if type_name.full() == "Spaceship")
+    ));
+
+    let m = swarm.metrics();
+    assert_eq!(
+        m.kind(kinds::ASM_REQUEST).messages,
+        1,
+        "only the conforming object's code was fetched"
+    );
+    let stats = swarm.peer(bob).stats;
+    assert_eq!((stats.asm_requests, stats.conformance_checks), (1, 2));
+}
